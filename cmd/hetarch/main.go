@@ -7,9 +7,7 @@
 //	        [-progress] [-listen ADDR] [-record FILE] [-checkpoint FILE]
 //	        [-cache-dir DIR] [-cpuprofile FILE] [-memprofile FILE]
 //	        [-trace-out FILE] [-trace-sample N] [-log-format text|json]
-//	        [-ledger-dir DIR] [-fabric ADDR] [-fabric-wait N] [-timeout D]
-//	hetarch coordinator <experiment> [flags]
-//	hetarch worker -connect ADDR [-id NAME] [-workers N]
+//	        [-ledger-dir DIR] [-timeout D]
 //	hetarch serve -data-dir DIR [-listen ADDR] [flags]
 //	hetarch runs <list|show|diff|gc> [args]
 //
@@ -53,24 +51,14 @@
 // -checkpoint makes the run resumable: completed Monte Carlo shards are
 // persisted to the given JSONL file, and an interrupted run (SIGINT/SIGTERM)
 // re-invoked with the same flags skips them, producing output bit-identical
-// to an uninterrupted run. Exit codes: 0 success, 1 runtime error, 2 usage
-// error, 3 interrupted (checkpoint, if any, flushed).
+// to an uninterrupted run. -timeout D imposes a whole-run deadline that
+// exits through the same path. Exit codes: 0 success, 1 runtime error, 2
+// usage error, 3 interrupted or timed out (checkpoint, if any, flushed).
 //
 // -cache-dir points the characterization-heavy experiments (dse, cells) at
 // a persistent content-addressed cache of standard-cell characterizations:
 // a warm re-run produces bit-identical stdout while skipping density-matrix
 // simulation entirely (cache accounting goes to stderr and -metrics).
-//
-// -fabric ADDR distributes the sweep: the process serves the fabric
-// protocol (internal/fabric) on ADDR and leases Monte Carlo shard ranges
-// to `hetarch worker -connect ADDR` processes, merging their tallies in
-// shard order for output byte-identical to a local run — at any cluster
-// size, including zero workers (local fallback; -fabric-wait N holds the
-// fallback until N workers have joined). `hetarch coordinator
-// <experiment>` is the same runner with -fabric defaulted to an ephemeral
-// port; with -checkpoint the file doubles as the lease/recovery log, so a
-// killed coordinator resumes byte-identically. -timeout D imposes a
-// whole-run deadline that exits with the interrupted code (3).
 //
 // `hetarch serve` runs the process as hetarchd, a long-lived multi-tenant
 // experiment service: POST specs to /jobs, poll or SSE-follow job state,
@@ -106,7 +94,6 @@ import (
 	"hetarch/internal/core"
 	dsecache "hetarch/internal/dse/cache"
 	"hetarch/internal/experiments"
-	"hetarch/internal/fabric"
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/checkpoint"
 	"hetarch/internal/obs"
@@ -152,8 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceSample := fs.Int("trace-sample", trace.DefaultSampleN, "trace every `N`th shard/point by index (1 = all; deterministic, never affects results)")
 	logFormat := fs.String("log-format", runlog.FormatText, "structured event-log format on stderr: text or json")
 	ledgerDir := fs.String("ledger-dir", "", "append this run's envelope to the run ledger in `dir` (default $HETARCH_LEDGER_DIR, then ~/.hetarch; \"off\" disables)")
-	fabricAddr := fs.String("fabric", "", "coordinate a distributed sweep: serve the fabric protocol on `addr` and lease Monte Carlo shard ranges to `hetarch worker` processes (results stay bit-identical to a local run)")
-	fabricWait := fs.Int("fabric-wait", 0, "with -fabric: hold local fallback until `N` workers have joined, so a short sweep cannot finish locally before the cluster starts up (0 = fall back immediately)")
 	timeout := fs.Duration("timeout", 0, "whole-run deadline; a run that exceeds it exits with the interrupted code (3), resumable via -checkpoint")
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, "hetarch: missing experiment name")
@@ -164,32 +149,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if name == "runs" {
 		return runsMain(args[1:], stdout, stderr)
 	}
-	if name == "worker" {
-		return workerMain(args[1:], stdout, stderr)
-	}
 	if name == "serve" {
 		return daemonMain(args[1:], stdout, stderr)
-	}
-	if name == "coordinator" {
-		// `hetarch coordinator <experiment> [flags]` is the runner with the
-		// fabric required: default to an ephemeral port when -fabric is
-		// absent (the bound address is announced via the event log).
-		rest := args[1:]
-		if len(rest) == 0 {
-			fmt.Fprintln(stderr, "hetarch: coordinator: missing experiment name")
-			usage(fs, stderr)
-			return exitUsage
-		}
-		hasFabric := false
-		for _, a := range rest {
-			if a == "-fabric" || strings.HasPrefix(a, "-fabric=") {
-				hasFabric = true
-			}
-		}
-		if !hasFabric {
-			rest = append(rest, "-fabric=127.0.0.1:0")
-		}
-		return run(rest, stdout, stderr)
 	}
 	if strings.HasPrefix(name, "-") {
 		fmt.Fprintf(stderr, "hetarch: first argument must be the experiment name, got flag %q\n", name)
@@ -230,16 +191,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if timeoutSet && *timeout <= 0 {
 		fmt.Fprintf(stderr, "hetarch: -timeout must be positive, got %v\n", *timeout)
-		usage(fs, stderr)
-		return exitUsage
-	}
-	if *fabricWait < 0 {
-		fmt.Fprintf(stderr, "hetarch: -fabric-wait must be >= 0, got %d\n", *fabricWait)
-		usage(fs, stderr)
-		return exitUsage
-	}
-	if *fabricWait > 0 && *fabricAddr == "" {
-		fmt.Fprintln(stderr, "hetarch: -fabric-wait has no effect without -fabric")
 		usage(fs, stderr)
 		return exitUsage
 	}
@@ -412,9 +363,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// resumedFrom is the interrupted run whose checkpoint this run adopted
-	// (recorded in the ledger envelope as provenance).
+	// (recorded in the ledger envelope as provenance). The checkpoint scope
+	// spans the whole invocation, so the runs of an `all` sequence are
+	// numbered across every experiment in it.
 	resumedFrom := ""
-	var cpFile *checkpoint.File
 	if *ckptPath != "" {
 		meta := checkpoint.NewMeta("hetarch", name, scaleName, *seed, *shots)
 		meta.RunID = runID
@@ -430,42 +382,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			lg.Info(runlog.EvCheckpointResume, "experiment", name, "path", *ckptPath,
 				"shards_done", n, "from_run", resumedFrom)
 		}
-		cpFile = cp
-		mc.SetCheckpoint(cp)
-		defer func() {
-			mc.SetCheckpoint(nil)
-			cp.Close()
-		}()
-	}
-
-	// -fabric turns this process into the sweep coordinator: Tally-shaped
-	// runs are leased to `hetarch worker` processes over HTTP and merged in
-	// shard order (bit-identical to a local run at any cluster size), with
-	// leftover ranges executed locally so the sweep completes even if the
-	// worker pool drains. The checkpoint, when present, doubles as the
-	// lease/recovery log.
-	var coord *fabric.Coordinator
-	if *fabricAddr != "" {
-		opts := fabric.CoordinatorOptions{
-			Addr:       *fabricAddr,
-			Spec:       fabric.JobSpec{RunID: runID, Experiment: name, Scale: scaleName, Seed: *seed, Shots: *shots},
-			MinWorkers: *fabricWait,
-		}
-		if cpFile != nil {
-			opts.Checkpoint = cpFile
-		}
-		testCoordinatorTune(&opts)
-		c, err := fabric.StartCoordinator(opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "hetarch: fabric:", err)
-			return exitError
-		}
-		coord = c
-		ctx = mc.WithRemote(ctx, coord)
-		// Shutdown after the ledger envelope is appended (defers run LIFO):
-		// announces the job done, then gives connected workers a short grace
-		// to observe it before the listener closes.
-		defer coord.Shutdown(3 * time.Second)
+		defer cp.Close()
+		ctx = mc.WithCheckpoint(ctx, cp)
 	}
 
 	// The persistent characterization cache is an optional store; without
@@ -540,9 +458,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if runErr != nil {
 			e.Error = runErr.Error()
-		}
-		if coord != nil {
-			e.Fabric = coordinatorStats(coord)
 		}
 		add := func(kind, path, key string) {
 			if path == "" {
@@ -750,6 +665,40 @@ func emitTelemetry(w io.Writer, asJSON bool) error {
 	return nil
 }
 
+// buildRunners maps experiment names to their runner closures. The same
+// table serves the CLI and the hetarchd job runner; ctx carries the run's
+// cancellation and checkpoint scope into every Monte Carlo experiment.
+func buildRunners(ctx context.Context, sc experiments.Scale, seed int64, workers int,
+	stdout, stderr io.Writer, emit func(func() (*experiments.Table, error)) func() error,
+	charStore core.CharacterizationStore) map[string]func() error {
+	return map[string]func() error{
+		"devices": func() error { experiments.Table1(stdout); return nil },
+		"cells":   func() error { return experiments.Table2Store(stdout, charStore) },
+		"fig3":    emit(func() (*experiments.Table, error) { return experiments.Fig3(ctx, sc, seed) }),
+		"fig4":    emit(func() (*experiments.Table, error) { return experiments.Fig4(ctx, sc, seed) }),
+		"fig6":    emit(func() (*experiments.Table, error) { return experiments.Fig6(ctx, sc, seed) }),
+		"fig7":    emit(func() (*experiments.Table, error) { return experiments.Fig7(ctx, sc, seed) }),
+		"fig9":    emit(func() (*experiments.Table, error) { return experiments.Fig9(ctx, sc, seed) }),
+		"table3":  emit(func() (*experiments.Table, error) { return experiments.Table3(ctx, sc, seed) }),
+		"fig12":   emit(func() (*experiments.Table, error) { return experiments.Fig12(ctx, sc, seed) }),
+		"table4":  emit(func() (*experiments.Table, error) { return experiments.Table4(ctx, sc, seed) }),
+		"dse": emit(func() (*experiments.Table, error) {
+			r, err := experiments.DSE(ctx, experiments.DSEOptions{Workers: workers, Store: charStore})
+			if err != nil {
+				return nil, err
+			}
+			// Cache accounting differs between cold and warm runs; it is
+			// telemetry, so it goes to stderr and stdout stays bit-identical
+			// across cache states.
+			r.FprintDSEStats(stderr)
+			return r.Table(), nil
+		}),
+		"devstudy": emit(func() (*experiments.Table, error) { return experiments.DeviceStudy(ctx, sc, seed) }),
+		"capacity": emit(func() (*experiments.Table, error) { return experiments.CapacitySweep(ctx, sc, seed) }),
+		"protocol": func() error { return experiments.ProtocolCheck(stdout, seed) },
+	}
+}
+
 func tablePrinter(w io.Writer) func(func() (*experiments.Table, error)) func() error {
 	return func(build func() (*experiments.Table, error)) func() error {
 		return func() error {
@@ -832,8 +781,6 @@ func writeTraceFile(path string) error {
 func usage(fs *flag.FlagSet, w io.Writer) {
 	fmt.Fprintf(w, "usage: hetarch <%s|all> [flags]\n", strings.Join(allOrder, "|"))
 	fmt.Fprintln(w, "       hetarch runs <list|show|diff|gc> [args]   (audit the run ledger)")
-	fmt.Fprintln(w, "       hetarch coordinator <experiment> [flags]  (distributed sweep; implies -fabric)")
-	fmt.Fprintln(w, "       hetarch worker -connect ADDR [flags]      (lease shard ranges from a coordinator)")
 	fmt.Fprintln(w, "       hetarch serve -data-dir DIR [flags]       (multi-tenant job service; see API.md)")
 	fs.PrintDefaults()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"syscall"
@@ -51,9 +52,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"trace sample without sink", []string{"fig9", "-trace-sample", "4"}, exitUsage, "no effect without -trace-out or -listen"},
 		{"cpuprofile with listen", []string{"fig9", "-cpuprofile", "cpu.out", "-listen", "127.0.0.1:0"}, exitUsage, "would double-start the CPU profile"},
 		{"zero timeout", []string{"fig9", "-timeout", "0s"}, exitUsage, "-timeout must be positive"},
-		{"negative fabric-wait", []string{"fig9", "-fabric", "127.0.0.1:0", "-fabric-wait", "-1"}, exitUsage, "-fabric-wait must be >= 0"},
-		{"fabric-wait without fabric", []string{"fig9", "-fabric-wait", "2"}, exitUsage, "no effect without -fabric"},
-		{"worker without connect", []string{"worker"}, exitUsage, "-connect is required"},
 		{"ok no-MC experiment", []string{"devices"}, exitOK, ""},
 	}
 	for _, tc := range cases {
@@ -116,6 +114,93 @@ func TestChaosCLIInterruptResumeBitIdentical(t *testing.T) {
 	}
 	if out2.String() != want.String() {
 		t.Fatalf("resumed output differs from uninterrupted run:\n-- resumed --\n%s\n-- reference --\n%s",
+			out2.String(), want.String())
+	}
+}
+
+// TestChaosCLIAllResumeBitIdentical: the checkpoint scope spans the whole
+// `all` sequence, so a SIGINT that lands after fig6 has completed (and
+// fig7 has started) must resume with fig6 served from the checkpoint under
+// the same run numbers, and print stdout bit-identical to an uninterrupted
+// run.
+func TestChaosCLIAllResumeBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick `all` sequence three times")
+	}
+	ckpt := filepath.Join(t.TempDir(), "ck.jsonl")
+	flags := []string{"-quick", "-shots", "512", "-workers", "2"}
+	argv := append([]string{"all", "-checkpoint", ckpt}, flags...)
+
+	var want, discard bytes.Buffer
+	if code := run(append([]string{"all"}, flags...), &want, &discard); code != exitOK {
+		t.Fatalf("reference run exited %d: %s", code, discard.String())
+	}
+
+	// At this scale fig6 completes 48 shards, the first Monte Carlo shards
+	// of the sequence; the 60th completed shard lies inside fig7.
+	const cutShards = 60
+	in := chaos.New(1).WithLatency(2*time.Millisecond).CancelAfter(cutShards, func() {
+		syscall.Kill(syscall.Getpid(), syscall.SIGINT)
+	})
+	mc.SetFaultInjector(in)
+	var out1, err1 bytes.Buffer
+	code := run(argv, &out1, &err1)
+	mc.SetFaultInjector(nil)
+	if code != exitInterrupted {
+		t.Fatalf("interrupted run exited %d, want %d (stderr: %s)", code, exitInterrupted, err1.String())
+	}
+
+	var out2, err2 bytes.Buffer
+	if code := run(argv, &out2, &err2); code != exitOK {
+		t.Fatalf("resume run exited %d: %s", code, err2.String())
+	}
+	m := regexp.MustCompile(`run\.checkpoint_resume .*shards_done=(\d+)`).FindStringSubmatch(err2.String())
+	if m == nil {
+		t.Fatalf("resume run did not report resumed shards: %s", err2.String())
+	}
+	if n, _ := strconv.Atoi(m[1]); n < cutShards {
+		t.Fatalf("resumed %d shards, want >= %d (past fig6)", n, cutShards)
+	}
+	if out2.String() != want.String() {
+		t.Fatalf("resumed output differs from uninterrupted run:\n-- resumed --\n%s\n-- reference --\n%s",
+			out2.String(), want.String())
+	}
+}
+
+// TestTimeoutDeadlineInterrupts: a -timeout deadline must wind the run down
+// through the interrupt path — exit 3, checkpoint flushed — and a rerun
+// without the deadline resumes to output bit-identical to an undisturbed
+// run.
+func TestTimeoutDeadlineInterrupts(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ck.jsonl")
+	argv := []string{"fig9", "-quick", "-shots", "512", "-seed", "7", "-checkpoint", ckpt, "-ledger-dir", "off"}
+
+	var want, discard bytes.Buffer
+	if code := run([]string{"fig9", "-quick", "-shots", "512", "-seed", "7", "-ledger-dir", "off"}, &want, &discard); code != exitOK {
+		t.Fatalf("reference run exited %d: %s", code, discard.String())
+	}
+
+	// Per-shard latency keeps the sweep in flight well past the deadline.
+	mc.SetFaultInjector(chaos.New(1).WithLatency(5 * time.Millisecond))
+	var out1, err1 bytes.Buffer
+	code := run(append(append([]string{}, argv...), "-timeout", "100ms"), &out1, &err1)
+	mc.SetFaultInjector(nil)
+	if code != exitInterrupted {
+		t.Fatalf("timed-out run exited %d, want %d (stderr: %s)", code, exitInterrupted, err1.String())
+	}
+	if !strings.Contains(err1.String(), "run.interrupted") {
+		t.Fatalf("stderr missing interrupt event: %s", err1.String())
+	}
+
+	var out2, err2 bytes.Buffer
+	if code := run(argv, &out2, &err2); code != exitOK {
+		t.Fatalf("resume run exited %d: %s", code, err2.String())
+	}
+	if !strings.Contains(err2.String(), "run.checkpoint_resume") {
+		t.Fatalf("resume run did not report resumed shards: %s", err2.String())
+	}
+	if out2.String() != want.String() {
+		t.Fatalf("resumed output differs from undisturbed run:\n-- resumed --\n%s\n-- reference --\n%s",
 			out2.String(), want.String())
 	}
 }

@@ -37,11 +37,9 @@ func TestChaosFig9InterruptResumeBitIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(5).CancelAfter(37, cancel)
-	mc.SetCheckpoint(cp)
 	mc.SetFaultInjector(in)
-	_, err = Fig9(ctx, sc, seed)
+	_, err = Fig9(mc.WithCheckpoint(ctx, cp), sc, seed)
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cancel()
 	cp.Close()
 	if !errors.Is(err, context.Canceled) {
@@ -55,9 +53,7 @@ func TestChaosFig9InterruptResumeBitIdentical(t *testing.T) {
 	if cp2.Resumed() == 0 {
 		t.Fatal("nothing checkpointed before the interrupt")
 	}
-	mc.SetCheckpoint(cp2)
-	got, err := Fig9(context.Background(), sc, seed)
-	mc.SetCheckpoint(nil)
+	got, err := Fig9(mc.WithCheckpoint(context.Background(), cp2), sc, seed)
 	cp2.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
 // Package jobs is the multi-tenant experiment job service behind `hetarch
-// serve` (DESIGN.md §12): submit an experiment/DSE spec, get a job ID, and
+// serve` (DESIGN.md §11): submit an experiment/DSE spec, get a job ID, and
 // let a bounded worker pool execute it with durable, crash-tolerant state.
 //
 // The package composes four pieces:
@@ -215,8 +215,8 @@ type Result struct {
 // shard-boundary cancellation). dir is the job's private artifact
 // directory; progress reports sampled shots for the SSE stream. A runner
 // that wants crash-tolerant resume opens a checkpoint in dir and installs
-// it with mc.WithCheckpoint — never mc.SetCheckpoint, which is
-// process-global and would be shared across concurrent jobs.
+// it on ctx with mc.WithCheckpoint, whose scope numbers the job's runs
+// independently of any other job running concurrently.
 type Runner func(ctx context.Context, job Job, dir string, progress func(delta int64)) (Result, error)
 
 // Config configures a Manager.

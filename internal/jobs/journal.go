@@ -3,7 +3,7 @@
 //
 // The file (journal.jsonl inside the jobs data directory) follows the
 // repo's append-only line discipline (see internal/obs/ledger and
-// internal/mc/checkpoint, DESIGN.md §12): every record is marshalled to a
+// internal/mc/checkpoint, DESIGN.md §11): every record is marshalled to a
 // single newline-terminated line and written with one write(2) on an
 // O_APPEND descriptor, synced before the state transition is considered
 // committed. A process killed mid-append leaves at most one torn trailing

@@ -91,9 +91,12 @@ func (in *Injector) WithLatency(d time.Duration) *Injector {
 	return in
 }
 
-// CancelAfter calls cancel once k shards have completed, simulating a kill
-// at a shard boundary. With a single worker the completed set is exactly
-// the first k shards; with more workers, in-flight shards may also finish.
+// CancelAfter calls cancel exactly once, when the k-th shard completes,
+// simulating a kill at a shard boundary. With a single worker the
+// completed set is exactly the first k shards; with more workers,
+// in-flight shards may also finish. Firing once matters when cancel
+// raises a real signal: a second SIGINT landing after the interrupted run
+// has restored default signal handling would kill the process.
 func (in *Injector) CancelAfter(k int, cancel context.CancelFunc) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -142,7 +145,7 @@ func (in *Injector) BeforeShard(sh mc.Shard, attempt int) {
 func (in *Injector) ShardDone(mc.Shard) {
 	in.mu.Lock()
 	in.completed++
-	fire := in.cancel != nil && in.cancelAfter > 0 && in.completed >= in.cancelAfter
+	fire := in.cancel != nil && in.cancelAfter > 0 && in.completed == in.cancelAfter
 	cancel := in.cancel
 	in.mu.Unlock()
 	if fire {

@@ -129,7 +129,7 @@ type entryVal struct {
 }
 
 // File is an open checkpoint store. It implements mc.Checkpoint; install
-// it with mc.SetCheckpoint. Methods are safe for concurrent use by the
+// it with mc.WithCheckpoint. Methods are safe for concurrent use by the
 // engine's workers; every Record is flushed to the OS before returning.
 type File struct {
 	mu       sync.Mutex

@@ -48,13 +48,24 @@ func (tr *tracker) runner() mc.ShardRunner {
 
 func meta() Meta { return NewMeta("test", "unit", "quick", 7, 0) }
 
+// mustRun is an uninterrupted, uncheckpointed run, failing the test on
+// error.
+func mustRun(t *testing.T, cfg mc.Config) mc.Tally {
+	t.Helper()
+	got, err := mc.RunContext(context.Background(), cfg, testRunner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestChaosResumeRoundTripBitIdentical is the acceptance invariant: kill a
 // run at a (seed-chosen) random shard boundary, resume from the
 // checkpoint, and the pooled counts must be bit-identical to an
 // uninterrupted run — without re-executing any completed shard.
 func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 7, Workers: 1}
-	want := mc.Run(cfg, testRunner)
+	want := mustRun(t, cfg)
 	numShards := (cfg.Shots + mc.DefaultShardSize - 1) / mc.DefaultShardSize
 
 	for _, chaosSeed := range []int64{1, 2, 3, 99} {
@@ -70,11 +81,9 @@ func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc.SetCheckpoint(cp)
 		mc.SetFaultInjector(in)
-		partial, err := mc.RunContext(ctx, cfg, testRunner)
+		partial, err := mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner)
 		mc.SetFaultInjector(nil)
-		mc.SetCheckpoint(nil)
 		cancel()
 		cp.Close()
 
@@ -96,9 +105,7 @@ func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 			t.Fatalf("chaos=%d: resumed %d shards, interrupted run completed %d", chaosSeed, cp2.Resumed(), len(pe.Completed))
 		}
 		tr := &tracker{}
-		mc.SetCheckpoint(cp2)
-		got, err := mc.RunContext(context.Background(), cfg, tr.runner)
-		mc.SetCheckpoint(nil)
+		got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp2), cfg, tr.runner)
 		cp2.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +129,7 @@ func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 // checkpoint path.
 func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 	cfg := mc.Config{Shots: 20_000, Seed: 11, Workers: 8}
-	want := mc.Run(cfg, testRunner)
+	want := mustRun(t, cfg)
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -131,13 +138,11 @@ func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(cp)
 	mc.SetFaultInjector(in)
-	if _, err := mc.RunContext(ctx, cfg, testRunner); err == nil {
+	if _, err := mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner); err == nil {
 		t.Fatal("expected interruption")
 	}
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cancel()
 	cp.Close()
 
@@ -146,11 +151,9 @@ func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc.SetCheckpoint(cp)
 		c := cfg
 		c.Workers = w
-		got, err := mc.RunContext(context.Background(), c, testRunner)
-		mc.SetCheckpoint(nil)
+		got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp), c, testRunner)
 		cp.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -165,17 +168,15 @@ func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 // panics still converges to the exact fault-free counts.
 func TestChaosResumeUnderShardPanics(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 3, Workers: 4}
-	want := mc.Run(cfg, testRunner)
+	want := mustRun(t, cfg)
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(8).CancelAfter(12, cancel)
 	cp, _ := Open(path, meta())
-	mc.SetCheckpoint(cp)
 	mc.SetFaultInjector(in)
-	mc.RunContext(ctx, cfg, testRunner)
+	mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner)
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cancel()
 	cp.Close()
 
@@ -188,11 +189,9 @@ func TestChaosResumeUnderShardPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(cp2)
 	mc.SetFaultInjector(in2)
-	got, err := mc.RunContext(context.Background(), cfg, testRunner)
+	got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp2), cfg, testRunner)
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cp2.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -207,17 +206,15 @@ func TestChaosResumeUnderShardPanics(t *testing.T) {
 func TestTruncatedTailDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	cfg := mc.Config{Shots: 2_560, Seed: 7, Workers: 1}
-	want := mc.Run(cfg, testRunner)
+	want := mustRun(t, cfg)
 
 	cp, err := Open(path, meta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(cp)
-	if _, err := mc.RunContext(context.Background(), cfg, testRunner); err != nil {
+	if _, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp), cfg, testRunner); err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(nil)
 	cp.Close()
 
 	// Tear the final record mid-line, as a kill during the write would.
@@ -237,9 +234,7 @@ func TestTruncatedTailDropped(t *testing.T) {
 	if cp2.Resumed() != 9 { // 10 shards recorded, last one torn
 		t.Fatalf("resumed %d shards from torn file, want 9", cp2.Resumed())
 	}
-	mc.SetCheckpoint(cp2)
-	got, err := mc.RunContext(context.Background(), cfg, testRunner)
-	mc.SetCheckpoint(nil)
+	got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp2), cfg, testRunner)
 	cp2.Close()
 	if err != nil {
 		t.Fatal(err)

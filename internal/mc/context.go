@@ -1,6 +1,6 @@
 // Resilient execution layer of the mc engine: context-aware dispatch,
-// per-shard panic isolation with bounded same-stream retries, and the
-// process-wide checkpoint and fault-injection hooks.
+// per-shard panic isolation with bounded same-stream retries, the
+// context-scoped checkpoint binding, and the fault-injection hook.
 //
 // The layer exploits the engine's deterministic shard decomposition: a
 // cancelled or faulted run still returns the pooled tally of every shard
@@ -52,20 +52,8 @@ var (
 // transient faults (the chaos injector's model) while keeping a
 // deterministic crash from looping: the retry reruns the identical shard
 // seed, so a panic that is a pure function of the shard's work fires again
-// and surfaces as a *ShardFault.
+// and surfaces as a *ShardFault. Retries never affect results.
 const DefaultShardRetries = 1
-
-// shardRetries resolves Config.MaxShardRetries: 0 means the default,
-// negative disables retries.
-func (c Config) shardRetries() int {
-	if c.MaxShardRetries < 0 {
-		return 0
-	}
-	if c.MaxShardRetries == 0 {
-		return DefaultShardRetries
-	}
-	return c.MaxShardRetries
-}
 
 // ShardFault reports a shard whose runner panicked on every attempt. The
 // engine recovers the panic on the worker goroutine, captures the stack,
@@ -122,10 +110,11 @@ type Checkpoint interface {
 	Record(key RunKey, sh Shard, t Tally) error
 }
 
-// RunKey identifies one RunContext invocation within a process. Runs are
-// numbered by a process-wide sequence counter: experiment code executes its
-// sub-runs in a deterministic order, so the same (Run, Shots, Seed,
-// ShardSize) tuple names the same sub-run across an interrupt/resume pair.
+// RunKey identifies one RunContext invocation within a checkpoint scope.
+// Runs are numbered by the scope's sequence counter (see WithCheckpoint):
+// experiment code executes its sub-runs in a deterministic order, so the
+// same (Run, Shots, Seed, ShardSize) tuple names the same sub-run across
+// an interrupt/resume pair.
 type RunKey struct {
 	Run       int   `json:"run"`
 	Shots     int   `json:"shots"`
@@ -134,27 +123,9 @@ type RunKey struct {
 }
 
 var (
-	hookMu    sync.Mutex
-	ckptStore Checkpoint
-	injector  FaultInjector
-	runSeq    atomic.Int64
+	hookMu   sync.Mutex
+	injector FaultInjector
 )
-
-// SetCheckpoint installs (nil removes) the process-wide checkpoint store
-// consulted by every RunContext call, and resets the run-sequence counter
-// so a resuming process numbers its runs identically to the interrupted
-// one. Call it before the experiment starts, never mid-run.
-//
-// A process that runs a single experiment at a time (the CLI) can use this
-// global hook; a process multiplexing several experiments concurrently
-// (the hetarchd job service) must give each its own store via
-// WithCheckpoint, which also scopes the run-sequence numbering.
-func SetCheckpoint(c Checkpoint) {
-	hookMu.Lock()
-	ckptStore = c
-	hookMu.Unlock()
-	runSeq.Store(0)
-}
 
 // ckptScope is a context-scoped checkpoint binding: the store plus its own
 // run-sequence counter, so two experiments running concurrently in one
@@ -169,12 +140,13 @@ type ckptScope struct {
 type ckptScopeKey struct{}
 
 // WithCheckpoint returns a context that binds every RunContext call under
-// it to its own checkpoint store and run-sequence counter, overriding the
-// process-global SetCheckpoint hook. Unlike SetCheckpoint it is safe for
-// any number of concurrent scopes: each scope numbers its runs
-// independently from zero, in the deterministic order the experiment code
-// issues them. A nil store yields a scope that checkpoints nothing (but
-// still isolates run numbering).
+// it to the checkpoint store cp and to a fresh run-sequence counter. Each
+// scope numbers its runs independently from zero, in the deterministic
+// order the experiment code issues them, so any number of scopes can run
+// concurrently and a resuming process numbers its runs exactly like the
+// interrupted one. Install the scope before the experiment starts and
+// pass the returned context to every run of the campaign. A nil store
+// yields a scope that checkpoints nothing, shadowing any outer scope.
 func WithCheckpoint(ctx context.Context, cp Checkpoint) context.Context {
 	return context.WithValue(ctx, ckptScopeKey{}, &ckptScope{cp: cp})
 }
@@ -192,10 +164,10 @@ func SetFaultInjector(fi FaultInjector) {
 	hookMu.Unlock()
 }
 
-func currentHooks() (Checkpoint, FaultInjector) {
+func currentInjector() FaultInjector {
 	hookMu.Lock()
 	defer hookMu.Unlock()
-	return ckptStore, injector
+	return injector
 }
 
 // runShard executes one shard attempt under recover, converting a worker
@@ -216,15 +188,23 @@ func runShard[T any](run func(Shard) T, sh Shard, attempt int, fi FaultInjector)
 	return
 }
 
-// MapShardsContext is MapShards with cooperative cancellation and panic
-// isolation. It stops dispatching shards once ctx is cancelled or a shard
-// exhausts its retries; in-flight shards finish (shards are small, so the
+// MapShardsContext partitions cfg.Shots into shards, processes them on
+// min(workers, shards) goroutines, and returns the per-shard results in
+// shard order. newWorker runs once per goroutine to build worker-owned
+// state (sampler, decoder, scratch); the returned function is then called
+// once per shard, always from that same goroutine. Because results are
+// placed by shard index and the decomposition is independent of
+// scheduling, the returned slice is identical for any worker count —
+// including reductions that are not commutative.
+//
+// Dispatch is cooperative and panic-isolated. It stops dispatching shards
+// once ctx is cancelled or a shard exhausts its retries; in-flight shards finish (shards are small, so the
 // latency is bounded by one shard of work per worker). On an incomplete
 // run it returns the results slice — valid at exactly the completed
 // indices — together with a *PartialError describing what finished and
 // why the rest did not.
 //
-// A panicking shard is retried up to Config.MaxShardRetries times on a
+// A panicking shard is retried up to DefaultShardRetries times on a
 // fresh worker (the panic may have left the old worker's state
 // inconsistent), re-running the identical stream seed so a successful
 // retry is bit-identical to an undisturbed execution.
@@ -235,8 +215,7 @@ func MapShardsContext[T any](ctx context.Context, cfg Config, newWorker func() f
 	}
 	out := make([]T, len(shards))
 	done := make([]bool, len(shards))
-	retries := cfg.shardRetries()
-	_, fi := currentHooks()
+	fi := currentInjector()
 
 	runCtx, stop := context.WithCancel(ctx)
 	defer stop()
@@ -266,7 +245,7 @@ func MapShardsContext[T any](ctx context.Context, cfg Config, newWorker func() f
 			ts0 = trace.Now()
 		}
 		var last *ShardFault
-		for attempt := 1; attempt <= 1+retries; attempt++ {
+		for attempt := 1; attempt <= 1+DefaultShardRetries; attempt++ {
 			if attempt > 1 {
 				shardRetries.Inc()
 				runlog.L().Info(evShardRetry, "shard", sh.Index, "seed", sh.Seed, "attempt", attempt)
@@ -378,43 +357,25 @@ func mergeTraced(shards int, fold func()) {
 	})
 }
 
-// RunContext is Run with cooperative cancellation, panic isolation, and
-// checkpointing. It always returns the pooled tally of the shards that
-// completed; when that is not all of them, the error is a *PartialError
-// whose Completed set the tally covers.
+// RunContext shards the budget, executes it on the worker pool with
+// cooperative cancellation and panic isolation, and pools the shard
+// tallies in shard order. Same (Shots, Seed, ShardSize) ⇒ bit-identical
+// pooled counts at any worker count. It always returns the pooled tally of
+// the shards that completed; when that is not all of them, the error is a
+// *PartialError whose Completed set the tally covers.
 //
-// When a checkpoint store is installed (SetCheckpoint), each shard is
+// When ctx carries a checkpoint scope (WithCheckpoint), each shard is
 // looked up before execution — a hit reuses the recorded tally without
 // re-sampling (obs counters do not re-tick for resumed shards) — and
 // recorded durably after it completes, so killing the process at any shard
 // boundary loses at most the in-flight shards.
 func RunContext(ctx context.Context, cfg Config, newWorker func() ShardRunner) (Tally, error) {
-	// A context-scoped Remote (the distributed sweep fabric) takes over the
-	// whole run before any local run numbering or checkpoint activity: the
-	// remote engine owns its own run-sequence counter so coordinator and
-	// worker processes number their runs identically.
-	if rem := RemoteFrom(ctx); rem != nil {
-		return rem.RunTally(ctx, cfg, newWorker)
-	}
-	// A context-scoped checkpoint binding (WithCheckpoint) shadows the
-	// process-global hook AND the global run-sequence counter: scoped runs
-	// number themselves within their scope, so concurrent scopes cannot
-	// perturb each other's checkpoint keys.
-	var cp Checkpoint
-	var runNo int
-	if scope := checkpointScope(ctx); scope != nil {
-		cp = scope.cp
-		runNo = int(scope.seq.Add(1)) - 1
-	} else {
-		cp, _ = currentHooks()
-		runNo = int(runSeq.Add(1)) - 1
-	}
-	key := RunKey{Run: runNo, Shots: cfg.Shots, Seed: cfg.Seed, ShardSize: cfg.shardSize()}
-
 	runCtx := ctx
 	build := newWorker
 	var recordErr atomic.Pointer[error]
-	if cp != nil {
+	if scope := checkpointScope(ctx); scope != nil && scope.cp != nil {
+		cp := scope.cp
+		key := RunKey{Run: int(scope.seq.Add(1)) - 1, Shots: cfg.Shots, Seed: cfg.Seed, ShardSize: cfg.shardSize()}
 		var cancel context.CancelFunc
 		runCtx, cancel = context.WithCancel(ctx)
 		defer cancel()

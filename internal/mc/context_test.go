@@ -29,15 +29,38 @@ func countingRunner() mc.ShardRunner {
 	}
 }
 
-func TestRunContextCompletesLikeRun(t *testing.T) {
-	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 4}
-	want := mc.Run(cfg, countingRunner)
+// mustRun is an uninterrupted countingRunner run, failing the test on
+// error.
+func mustRun(t *testing.T, cfg mc.Config) mc.Tally {
+	t.Helper()
 	got, err := mc.RunContext(context.Background(), cfg, countingRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("RunContext %+v != Run %+v", got, want)
+	return got
+}
+
+// perShardTallies returns the fault-free per-shard tallies of cfg, in
+// shard order.
+func perShardTallies(t *testing.T, cfg mc.Config) []mc.Tally {
+	t.Helper()
+	out, err := mc.MapShardsContext(context.Background(), cfg, countingRunner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRunContextCompletesLikeRun: an uninterrupted RunContext pools
+// exactly the shard-order fold of the per-shard tallies.
+func TestRunContextCompletesLikeRun(t *testing.T) {
+	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 4}
+	var want mc.Tally
+	for _, tl := range perShardTallies(t, cfg) {
+		want.Add(tl)
+	}
+	if got := mustRun(t, cfg); got != want {
+		t.Fatalf("RunContext %+v != per-shard fold %+v", got, want)
 	}
 }
 
@@ -67,7 +90,7 @@ func TestChaosCancelPartialIsExactPrefix(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 1}
 
 	// Per-shard tallies of the fault-free run, for prefix sums.
-	perShard := mc.MapShards(cfg, countingRunner)
+	perShard := perShardTallies(t, cfg)
 
 	for _, k := range []int{1, 7, 20, 39} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -108,7 +131,7 @@ func TestChaosCancelPartialIsExactPrefix(t *testing.T) {
 // exactly the sum of the fault-free per-shard tallies over that set.
 func TestChaosCancelPartialMatchesCompletedSet(t *testing.T) {
 	cfg := mc.Config{Shots: 20_000, Seed: 9, Workers: 8}
-	perShard := mc.MapShards(cfg, countingRunner)
+	perShard := perShardTallies(t, cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(1).CancelAfter(5, cancel)
@@ -138,7 +161,7 @@ func TestChaosCancelPartialMatchesCompletedSet(t *testing.T) {
 // the pooled tally bit-identical to the fault-free run.
 func TestChaosPanicRetryBitIdentical(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 4}
-	want := mc.Run(cfg, countingRunner)
+	want := mustRun(t, cfg)
 
 	in := chaos.New(3)
 	picked := in.PickShards(5, 40)
@@ -165,7 +188,7 @@ func TestChaosPanicRetryBitIdentical(t *testing.T) {
 // completed shards exactly.
 func TestChaosPersistentPanicFailsCleanly(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 1}
-	perShard := mc.MapShards(cfg, countingRunner)
+	perShard := perShardTallies(t, cfg)
 
 	const bad = 3
 	in := chaos.New(1).PanicOnShard(bad, 1+mc.DefaultShardRetries)
@@ -199,26 +222,13 @@ func TestChaosPersistentPanicFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestChaosRetryDisabled: MaxShardRetries < 0 fails on the first fault.
-func TestChaosRetryDisabled(t *testing.T) {
-	cfg := mc.Config{Shots: 2_000, Seed: 1, Workers: 1, MaxShardRetries: -1}
-	in := chaos.New(1).PanicOnShard(0, 1)
-	mc.SetFaultInjector(in)
-	_, err := mc.RunContext(context.Background(), cfg, countingRunner)
-	mc.SetFaultInjector(nil)
-	var fault *mc.ShardFault
-	if !errors.As(err, &fault) || fault.Attempts != 1 {
-		t.Fatalf("want single-attempt fault, got %v", err)
-	}
-}
-
 // TestChaosWorkerPanicIsolatedFromRealRunner: a panic raised by the shard
 // runner itself (not the injector) is isolated and retried on a fresh
 // worker, so per-worker state poisoned by the panic cannot leak into the
 // retry.
 func TestChaosWorkerPanicIsolatedFromRealRunner(t *testing.T) {
 	cfg := mc.Config{Shots: 2_560, Seed: 5, Workers: 2}
-	want := mc.Run(cfg, countingRunner)
+	want := mustRun(t, cfg)
 
 	// A runner whose worker state is corrupted by a one-time transient
 	// panic on shard 4: the worker that panicked would mis-count every
@@ -245,27 +255,6 @@ func TestChaosWorkerPanicIsolatedFromRealRunner(t *testing.T) {
 	if got != want {
 		t.Fatalf("retry reused a poisoned worker: %+v != %+v", got, want)
 	}
-}
-
-// TestChaosMapShardsPanicsOnExhaustedFault: the legacy MapShards entry
-// point keeps its crash-on-panic contract, but with the typed fault.
-func TestChaosMapShardsPanicsOnExhaustedFault(t *testing.T) {
-	in := chaos.New(1).PanicOnShard(0, 1+mc.DefaultShardRetries)
-	mc.SetFaultInjector(in)
-	defer mc.SetFaultInjector(nil)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("MapShards should re-panic on an exhausted fault")
-		}
-		err, ok := r.(error)
-		var fault *mc.ShardFault
-		if !ok || !errors.As(err, &fault) {
-			t.Fatalf("recovered %v, want a *ShardFault-wrapping error", r)
-		}
-	}()
-	mc.MapShards(mc.Config{Shots: 1000, Seed: 1, Workers: 1},
-		func() func(mc.Shard) int { return func(sh mc.Shard) int { return sh.Index } })
 }
 
 // memCheckpoint is an in-memory mc.Checkpoint for scoping tests: it records
@@ -382,42 +371,21 @@ func TestWithCheckpointScopesRunNumbering(t *testing.T) {
 	_ = tallyB
 }
 
-// TestWithCheckpointShadowsGlobal: a context scope must win over (and not
-// disturb) the process-global SetCheckpoint hook and its run numbering.
-func TestWithCheckpointShadowsGlobal(t *testing.T) {
-	global, scoped := newMemCheckpoint(), newMemCheckpoint()
-	mc.SetCheckpoint(global)
-	defer mc.SetCheckpoint(nil)
-
-	cfg := mc.Config{Shots: 1000, Seed: 5, Workers: 1}
-	if _, err := mc.RunContext(mc.WithCheckpoint(context.Background(), scoped), cfg, countingRunner); err != nil {
-		t.Fatal(err)
-	}
-	if global.records != 0 {
-		t.Fatalf("scoped run leaked %d records into the global store", global.records)
-	}
-	if scoped.records == 0 {
-		t.Fatal("scoped store recorded nothing")
-	}
-	// The global sequence was untouched: the next unscoped run is run 0.
-	if _, err := mc.RunContext(context.Background(), cfg, countingRunner); err != nil {
-		t.Fatal(err)
-	}
-	if got := global.runNumbers(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("global run numbering disturbed by scoped run: %v", got)
-	}
-}
-
-// TestWithCheckpointNilStore: a nil-store scope isolates run numbering but
-// checkpoints nothing, and must not panic.
+// TestWithCheckpointNilStore: a nil-store scope checkpoints nothing —
+// not even into an outer scope it shadows — and must not panic.
 func TestWithCheckpointNilStore(t *testing.T) {
 	cfg := mc.Config{Shots: 1000, Seed: 5, Workers: 2}
-	want := mc.Run(cfg, countingRunner)
-	got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), nil), cfg, countingRunner)
+	want := mustRun(t, cfg)
+	outer := newMemCheckpoint()
+	ctx := mc.WithCheckpoint(mc.WithCheckpoint(context.Background(), outer), nil)
+	got, err := mc.RunContext(ctx, cfg, countingRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("nil-store scope changed results: %+v != %+v", got, want)
+	}
+	if outer.records != 0 {
+		t.Fatalf("nil-store scope leaked %d records into the outer store", outer.records)
 	}
 }

@@ -19,7 +19,6 @@
 package mc
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 )
@@ -111,13 +110,6 @@ type Config struct {
 	// decomposition), so callers must keep it fixed across runs they want to
 	// compare bit-for-bit.
 	ShardSize int
-
-	// MaxShardRetries bounds the same-stream re-executions of a panicking
-	// shard before the run fails with a *ShardFault: 0 means
-	// DefaultShardRetries, negative disables retries. Retries rerun the
-	// identical shard seed on a fresh worker, so a successful retry is
-	// bit-identical to an undisturbed execution and never affects results.
-	MaxShardRetries int
 }
 
 func (c Config) shardSize() int {
@@ -145,44 +137,7 @@ func (c Config) shards() []Shard {
 	return out
 }
 
-// MapShards partitions cfg.Shots into shards, processes them on
-// min(workers, shards) goroutines, and returns the per-shard results in
-// shard order. newWorker runs once per goroutine to build worker-owned state
-// (sampler, decoder, scratch); the returned function is then called once per
-// shard, always from that same goroutine.
-//
-// Because results are placed by shard index and the decomposition is
-// independent of scheduling, the returned slice is identical for any worker
-// count — including reductions that are not commutative.
-//
-// MapShards is MapShardsContext on a background context: it cannot be
-// cancelled, and a shard that faults out of its retries panics with the
-// *ShardFault (preserving the historical crash-on-panic contract for
-// callers without an error path).
-func MapShards[T any](cfg Config, newWorker func() func(Shard) T) []T {
-	out, err := MapShardsContext(context.Background(), cfg, newWorker)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // ShardRunner processes one shard and returns its tally. Implementations
 // must derive all randomness from the shard's RNG and touch only
 // worker-owned or read-only state.
 type ShardRunner = func(Shard) Tally
-
-// Run shards the budget, executes it on the worker pool, and pools the
-// shard tallies. Same (Shots, Seed, ShardSize) ⇒ bit-identical pooled
-// counts at any worker count.
-//
-// Run is RunContext on a background context: it cannot be cancelled, and a
-// run that cannot complete (exhausted shard retries, checkpoint I/O
-// failure) panics with the error.
-func Run(cfg Config, newWorker func() ShardRunner) Tally {
-	t, err := RunContext(context.Background(), cfg, newWorker)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"testing"
 )
 
@@ -18,6 +19,17 @@ func countingRunner() ShardRunner {
 		}
 		return t
 	}
+}
+
+// mustRun is an uninterrupted countingRunner run, failing the test on
+// error.
+func mustRun(t *testing.T, cfg Config) Tally {
+	t.Helper()
+	got, err := RunContext(context.Background(), cfg, countingRunner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestShardDecompositionCoversBudget(t *testing.T) {
@@ -48,7 +60,7 @@ func TestShardDecompositionCoversBudget(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	base := Run(Config{Shots: 10_000, Seed: 42, Workers: 1}, countingRunner)
+	base := mustRun(t, Config{Shots: 10_000, Seed: 42, Workers: 1})
 	if base.Shots != 10_000 {
 		t.Fatalf("pooled shots %d", base.Shots)
 	}
@@ -56,21 +68,21 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("degenerate tally %+v", base)
 	}
 	for _, w := range []int{2, 4, 8, 0} { // 0 = NumCPU
-		got := Run(Config{Shots: 10_000, Seed: 42, Workers: w}, countingRunner)
+		got := mustRun(t, Config{Shots: 10_000, Seed: 42, Workers: w})
 		if got != base {
 			t.Fatalf("workers=%d: %+v != workers=1 %+v", w, got, base)
 		}
 	}
 	// Repeatability at a fixed worker count.
-	again := Run(Config{Shots: 10_000, Seed: 42, Workers: 4}, countingRunner)
+	again := mustRun(t, Config{Shots: 10_000, Seed: 42, Workers: 4})
 	if again != base {
 		t.Fatalf("re-run diverged: %+v != %+v", again, base)
 	}
 }
 
 func TestRunSeedSensitivity(t *testing.T) {
-	a := Run(Config{Shots: 10_000, Seed: 1, Workers: 4}, countingRunner)
-	b := Run(Config{Shots: 10_000, Seed: 2, Workers: 4}, countingRunner)
+	a := mustRun(t, Config{Shots: 10_000, Seed: 1, Workers: 4})
+	b := mustRun(t, Config{Shots: 10_000, Seed: 2, Workers: 4})
 	if a == b {
 		t.Fatal("different seeds should change the tally")
 	}
@@ -92,10 +104,13 @@ func TestStreamSeedsDecorrelated(t *testing.T) {
 }
 
 func TestMapShardsPreservesOrder(t *testing.T) {
-	idx := MapShards(Config{Shots: 4096, Seed: 9, Workers: 8, ShardSize: 64},
+	idx, err := MapShardsContext(context.Background(), Config{Shots: 4096, Seed: 9, Workers: 8, ShardSize: 64},
 		func() func(Shard) int {
 			return func(sh Shard) int { return sh.Index }
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(idx) != 64 {
 		t.Fatalf("expected 64 shards, got %d", len(idx))
 	}

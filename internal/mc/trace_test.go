@@ -13,7 +13,7 @@ import (
 // shard events and feeding the shard-timing histograms.
 func TestTracingInvariant(t *testing.T) {
 	cfg := Config{Shots: 2000, Seed: 99, ShardSize: 128}
-	base := Run(cfg, countingRunner)
+	base := mustRun(t, cfg)
 
 	trace.Default.Enable(1<<12, 2)
 	defer trace.Default.Disable()
@@ -21,7 +21,7 @@ func TestTracingInvariant(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c := cfg
 		c.Workers = workers
-		if got := Run(c, countingRunner); got != base {
+		if got := mustRun(t, c); got != base {
 			t.Fatalf("workers=%d traced tally %+v != untraced %+v", workers, got, base)
 		}
 	}

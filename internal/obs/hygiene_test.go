@@ -19,10 +19,6 @@ import (
 	_ "hetarch/internal/obs/ledger"
 	_ "hetarch/internal/obs/recorder"
 
-	// Register the fabric.* metrics and events (only the CLI and the fabric
-	// tests reach the distributed layer).
-	_ "hetarch/internal/fabric"
-
 	// Register the jobs.* metrics and events (only the `hetarch serve`
 	// daemon reaches the job service).
 	_ "hetarch/internal/jobs"

@@ -154,28 +154,9 @@ type Envelope struct {
 	Error       string   `json:"error,omitempty"`
 	// ResumedFrom is the run ID of the interrupted run whose checkpoint
 	// this run resumed, when they differ.
-	ResumedFrom string       `json:"resumed_from,omitempty"`
-	Metrics     *Headline    `json:"metrics,omitempty"`
-	Artifacts   []Artifact   `json:"artifacts,omitempty"`
-	Fabric      *FabricStats `json:"fabric,omitempty"`
-}
-
-// FabricStats records a distributed-fabric run's cluster composition and
-// fault counters: how many workers took part, how the lease machinery
-// behaved (grants, expiries), and how much robustness machinery actually
-// fired (duplicate tallies dropped, client retries, locally executed
-// shards). Coordinator and worker envelopes both carry one, distinguished
-// by Role.
-type FabricStats struct {
-	Role             string `json:"role"` // "coordinator" or "worker"
-	Addr             string `json:"addr,omitempty"`
-	Workers          int    `json:"workers,omitempty"` // distinct workers seen (coordinator)
-	LeasesGranted    int64  `json:"leases_granted,omitempty"`
-	LeasesExpired    int64  `json:"leases_expired,omitempty"`
-	TalliesAccepted  int64  `json:"tallies_accepted,omitempty"`
-	TallyDupsDropped int64  `json:"tally_dups_dropped,omitempty"`
-	LocalShards      int64  `json:"local_shards,omitempty"`
-	Retries          int64  `json:"retries,omitempty"` // HTTP client retries (worker)
+	ResumedFrom string     `json:"resumed_from,omitempty"`
+	Metrics     *Headline  `json:"metrics,omitempty"`
+	Artifacts   []Artifact `json:"artifacts,omitempty"`
 }
 
 // Ledger is an open, append-only run journal. Append is safe for
@@ -300,37 +281,54 @@ func ReadFile(path string) (*Log, error) {
 }
 
 func parse(data []byte) *Log {
-	lines, tail := recorder.SplitTailTolerant(data)
-	lg := &Log{}
-	if len(tail) > 0 {
-		if json.Valid(tail) {
-			lines = append(lines, tail)
-		} else {
-			lg.Truncated = true
-		}
-	}
+	lines, truncated := splitLines(data)
+	lg := &Log{Truncated: truncated}
 	for _, raw := range lines {
 		if len(raw) == 0 {
 			continue
 		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
+		e, isRun, err := decodeRun(raw)
+		switch {
+		case err != nil:
 			lg.Skipped++
-			continue
+		case isRun:
+			lg.Envelopes = append(lg.Envelopes, e)
 		}
-		if probe.Type != "run" {
-			continue // forward compatibility
-		}
-		var e Envelope
-		if err := json.Unmarshal(raw, &e); err != nil {
-			lg.Skipped++
-			continue
-		}
-		lg.Envelopes = append(lg.Envelopes, e)
 	}
 	return lg
+}
+
+// splitLines splits the ledger into its lines. A tail whose newline was
+// lost but which parses is a complete line; any other tail is the torn
+// write of a killed process, dropped and reported as truncated.
+func splitLines(data []byte) (lines [][]byte, truncated bool) {
+	lines, tail := recorder.SplitTailTolerant(data)
+	if len(tail) > 0 {
+		if !json.Valid(tail) {
+			return lines, true
+		}
+		lines = append(lines, tail)
+	}
+	return lines, false
+}
+
+// decodeRun decodes one ledger line. isRun is false for record types
+// other than "run", which readers skip for forward compatibility; err is
+// set for a line that is not JSON or not a valid envelope.
+func decodeRun(raw []byte) (e Envelope, isRun bool, err error) {
+	var probe struct {
+		Type string `json:"type"`
+	}
+	if err := json.Unmarshal(raw, &probe); err != nil {
+		return e, false, err
+	}
+	if probe.Type != "run" {
+		return e, false, nil
+	}
+	if err := json.Unmarshal(raw, &e); err != nil {
+		return e, false, err
+	}
+	return e, true, nil
 }
 
 // Find resolves a run ID or unique ID prefix to its envelope. When the
@@ -459,21 +457,30 @@ func gone(e *Envelope) bool {
 }
 
 // GC prunes envelopes whose artifacts are all gone, rewriting the ledger
-// via tmp-and-rename (which also drops any torn tail). With dryRun the
-// file is left untouched and the partition is merely reported. GC is not
-// safe against a concurrent Append from another process; run it while the
-// ledger is quiet.
+// via tmp-and-rename. Every other line is copied byte for byte — kept
+// envelopes, record types and envelope fields this build does not know,
+// lines it cannot parse — so gc never erases what another version of the
+// tool wrote; only a torn tail is dropped. With dryRun the file is left
+// untouched and the partition is merely reported. GC is not safe against
+// a concurrent Append from another process; run it while the ledger is
+// quiet.
 func GC(path string, dryRun bool) (kept, pruned []Envelope, err error) {
-	lg, err := ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("ledger: %w", err)
 	}
-	for _, e := range lg.Envelopes {
-		if gone(&e) {
-			pruned = append(pruned, e)
-		} else {
+	lines, _ := splitLines(data)
+	var out []byte
+	for _, raw := range lines {
+		if e, isRun, err := decodeRun(raw); err == nil && isRun {
+			if gone(&e) {
+				pruned = append(pruned, e)
+				continue
+			}
 			kept = append(kept, e)
 		}
+		out = append(out, raw...)
+		out = append(out, '\n')
 	}
 	if dryRun || len(pruned) == 0 {
 		return kept, pruned, nil
@@ -483,12 +490,7 @@ func GC(path string, dryRun bool) (kept, pruned []Envelope, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("ledger: gc: %w", err)
 	}
-	enc := json.NewEncoder(f)
-	for _, e := range kept {
-		if err == nil {
-			err = enc.Encode(e)
-		}
-	}
+	_, err = f.Write(out)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -1,6 +1,7 @@
 package ledger_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -124,14 +125,15 @@ func TestTornTailMidEnvelope(t *testing.T) {
 	}
 }
 
-// TestConcurrentAppendsTwoHandles: the O_APPEND single-write line
-// discipline must keep concurrent appends from two independently opened
-// handles (two processes, in effect) whole — every line parses.
-func TestConcurrentAppendsTwoHandles(t *testing.T) {
+// appendConcurrently has `handles` independently opened handles on one
+// ledger.jsonl (separate processes, in effect) each append perWriter
+// envelopes at once. The O_APPEND single-write line discipline must keep
+// every line whole: each envelope parses and arrives exactly once.
+func appendConcurrently(t *testing.T, handles, perWriter int) {
+	t.Helper()
 	dir := t.TempDir()
-	const perWriter = 50
 	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
+	for w := 0; w < handles; w++ {
 		l, err := ledger.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -157,8 +159,8 @@ func TestConcurrentAppendsTwoHandles(t *testing.T) {
 	if lg.Truncated || lg.Skipped != 0 {
 		t.Fatalf("interleaved appends tore lines: truncated=%v skipped=%d", lg.Truncated, lg.Skipped)
 	}
-	if len(lg.Envelopes) != 2*perWriter {
-		t.Fatalf("got %d envelopes, want %d", len(lg.Envelopes), 2*perWriter)
+	if len(lg.Envelopes) != handles*perWriter {
+		t.Fatalf("got %d envelopes, want %d", len(lg.Envelopes), handles*perWriter)
 	}
 	seen := map[string]bool{}
 	for _, e := range lg.Envelopes {
@@ -169,63 +171,9 @@ func TestConcurrentAppendsTwoHandles(t *testing.T) {
 	}
 }
 
-// TestConcurrentFabricAppends models a distributed sweep's ledger traffic:
-// a coordinator plus N workers, each with its own handle on one
-// ledger.jsonl (separate processes, in effect), appending envelopes that
-// carry fabric cluster stats. Every line must stay whole and the Fabric
-// field must round-trip, so `runs list` after a sweep shows every process.
-func TestConcurrentFabricAppends(t *testing.T) {
-	dir := t.TempDir()
-	const workers = 4
-	const perWriter = 25
-	role := func(w int) *ledger.FabricStats {
-		if w == 0 {
-			return &ledger.FabricStats{Role: "coordinator", Addr: "127.0.0.1:9", Workers: workers, LeasesGranted: 7, LocalShards: 3}
-		}
-		return &ledger.FabricStats{Role: "worker", Addr: "127.0.0.1:9", Retries: int64(w)}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w <= workers; w++ {
-		l, err := ledger.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		wg.Add(1)
-		go func(w int, l *ledger.Ledger) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				e := env(fmt.Sprintf("fabric%d-%04d-%s", w, i, strings.Repeat("x", 200)))
-				e.Fabric = role(w)
-				if err := l.Append(e); err != nil {
-					t.Errorf("writer %d append %d: %v", w, i, err)
-					return
-				}
-			}
-		}(w, l)
-	}
-	wg.Wait()
-	lg, err := ledger.ReadFile(filepath.Join(dir, ledger.FileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lg.Truncated || lg.Skipped != 0 {
-		t.Fatalf("interleaved fabric appends tore lines: truncated=%v skipped=%d", lg.Truncated, lg.Skipped)
-	}
-	if len(lg.Envelopes) != (workers+1)*perWriter {
-		t.Fatalf("got %d envelopes, want %d", len(lg.Envelopes), (workers+1)*perWriter)
-	}
-	roles := map[string]int{}
-	for _, e := range lg.Envelopes {
-		if e.Fabric == nil {
-			t.Fatalf("envelope %q lost its fabric stats", e.RunID)
-		}
-		roles[e.Fabric.Role]++
-	}
-	if roles["coordinator"] != perWriter || roles["worker"] != workers*perWriter {
-		t.Fatalf("fabric roles = %v, want %d coordinator + %d worker", roles, perWriter, workers*perWriter)
-	}
-}
+func TestConcurrentAppendsTwoHandles(t *testing.T) { appendConcurrently(t, 2, 50) }
+
+func TestConcurrentAppendsManyHandles(t *testing.T) { appendConcurrently(t, 5, 25) }
 
 func TestFindPrefix(t *testing.T) {
 	lg := &ledger.Log{Envelopes: []ledger.Envelope{
@@ -334,6 +282,50 @@ func TestGCPrunesGoneRuns(t *testing.T) {
 		if e.RunID == "run-gone" {
 			t.Fatal("gc kept the gone run")
 		}
+	}
+}
+
+// TestGCPreservesUnknownRecords: gc copies every line it keeps byte for
+// byte, so record types and envelope fields this build does not know (an
+// older binary's "fabric" stanza, a newer one's extra keys) survive the
+// rewrite; only the pruned envelope's line goes.
+func TestGCPreservesUnknownRecords(t *testing.T) {
+	dir := t.TempDir()
+	alive := filepath.Join(dir, "alive.json")
+	if err := os.WriteFile(alive, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	quote := func(s string) string {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	future := `{"type":"future","payload":{"z":1,"a":[2,1]}}`
+	kept := `{"type":"run","run_id":"run-kept","tool":"hetarch","seed":7,"started_at":"2023-11-14T22:13:20Z",` +
+		`"status":"ok","artifacts":[{"kind":"trace","path":` + quote(alive) + `}],` +
+		`"fabric":{"role":"coordinator","addr":"127.0.0.1:9","workers":2},"unknown_key":[1,"two"]}`
+	gone := `{"type":"run","run_id":"run-gone","tool":"hetarch","seed":7,"started_at":"2023-11-14T22:13:20Z",` +
+		`"status":"ok","artifacts":[{"kind":"trace","path":` + quote(filepath.Join(dir, "deleted.json")) + `}]}`
+	path := filepath.Join(dir, ledger.FileName)
+	if err := os.WriteFile(path, []byte(future+"\n"+kept+"\n"+gone+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	k, p, err := ledger.GC(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(k) != 1 || k[0].RunID != "run-kept" || len(p) != 1 || p[0].RunID != "run-gone" {
+		t.Fatalf("gc partition kept=%v pruned=%v", k, p)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := future + "\n" + kept + "\n"; string(got) != want {
+		t.Fatalf("gc rewrote kept lines:\n got: %s\nwant: %s", got, want)
 	}
 }
 

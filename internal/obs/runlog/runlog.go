@@ -174,7 +174,7 @@ func init() {
 func L() *slog.Logger { return current.Load() }
 
 // Set installs l as the process-wide run logger; nil restores the no-op
-// logger. Like mc.SetCheckpoint, call it at run setup, not mid-run.
+// logger. Like mc.WithCheckpoint, call it at run setup, not mid-run.
 func Set(l *slog.Logger) {
 	if l == nil {
 		l = slog.New(discardHandler{})

@@ -346,7 +346,10 @@ func TestServeUnderLoad(t *testing.T) {
 
 	// The engine runs continuously until every load client is done, so all
 	// scrapes and downloads land mid-run.
-	want := mc.Run(cfg, runner)
+	want, err := mc.RunContext(context.Background(), cfg, runner)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stopRun := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() {
@@ -357,7 +360,12 @@ func TestServeUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			if got := mc.Run(cfg, runner); got != want {
+			got, err := mc.RunContext(context.Background(), cfg, runner)
+			if err != nil {
+				runDone <- err
+				return
+			}
+			if got != want {
 				runDone <- fmt.Errorf("tally under load %+v != baseline %+v", got, want)
 				return
 			}

@@ -73,7 +73,7 @@ type buffer struct {
 // Collector accumulates events. The zero value is a disabled collector;
 // Enable arms it. Emit/Sampled/Now are safe for concurrent use with each
 // other and with snapshot reads; Enable and Disable must not race a run
-// (arm the collector before dispatching work, like mc.SetCheckpoint).
+// (arm the collector before dispatching work, like mc.WithCheckpoint).
 type Collector struct {
 	enabled atomic.Bool
 	sampleN atomic.Int64

@@ -8,6 +8,7 @@ package stabsim
 // against itself.
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -72,9 +73,10 @@ func seqQubits(n int) []int {
 
 // sampleShardedDetectorCounts draws `shots` shots through worker-owned
 // BatchFrameSamplers on the mc engine and returns per-detector event counts.
-func sampleShardedDetectorCounts(c *Circuit, shots int, seed int64, workers int) []int64 {
+func sampleShardedDetectorCounts(t *testing.T, c *Circuit, shots int, seed int64, workers int) []int64 {
+	t.Helper()
 	nDet := c.NumDetectors()
-	perShard := mc.MapShards(mc.Config{Shots: shots, Seed: seed, Workers: workers},
+	perShard, err := mc.MapShardsContext(context.Background(), mc.Config{Shots: shots, Seed: seed, Workers: workers},
 		func() func(mc.Shard) []int64 {
 			rng := splitmix.New(0)
 			bs := NewBatchFrameSampler(c, rng)
@@ -99,6 +101,9 @@ func sampleShardedDetectorCounts(c *Circuit, shots int, seed int64, workers int)
 				return counts
 			}
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := make([]int64, nDet)
 	for _, counts := range perShard {
 		for d, v := range counts {
@@ -139,7 +144,7 @@ func TestShardedSamplerMatchesTableauOnRandomCircuits(t *testing.T) {
 			t.Fatalf("circuit %d: echo circuit has non-deterministic detectors", ci)
 		}
 
-		frameCounts := sampleShardedDetectorCounts(c, frameShots, int64(7+ci), 4)
+		frameCounts := sampleShardedDetectorCounts(t, c, frameShots, int64(7+ci), 4)
 
 		tab := NewTableauRunner(c, rand.New(rand.NewSource(int64(53+ci))))
 		tabCounts := make([]int64, c.NumDetectors())
@@ -177,9 +182,9 @@ func TestShardedSamplerMatchesTableauOnRandomCircuits(t *testing.T) {
 func TestShardedSamplerDetectorCountsWorkerIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := randomEchoCircuit(rng, 4, 18, 0.08, 0.04)
-	base := sampleShardedDetectorCounts(c, 4096, 3, 1)
+	base := sampleShardedDetectorCounts(t, c, 4096, 3, 1)
 	for _, w := range []int{2, 4, 8} {
-		got := sampleShardedDetectorCounts(c, 4096, 3, w)
+		got := sampleShardedDetectorCounts(t, c, 4096, 3, w)
 		for d := range base {
 			if got[d] != base[d] {
 				t.Fatalf("workers=%d detector %d: %d != %d", w, d, got[d], base[d])

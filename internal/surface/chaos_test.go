@@ -30,11 +30,9 @@ func TestChaosSurfaceCancelResumeBitIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(3).CancelAfter(5, cancel)
-	mc.SetCheckpoint(cp)
 	mc.SetFaultInjector(in)
-	partial, err := e.RunContext(ctx, shots, seed, workers)
+	partial, err := e.RunContext(mc.WithCheckpoint(ctx, cp), shots, seed, workers)
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cancel()
 	cp.Close()
 
@@ -53,9 +51,7 @@ func TestChaosSurfaceCancelResumeBitIdentical(t *testing.T) {
 	if cp2.Resumed() != len(pe.Completed) {
 		t.Fatalf("resumed %d shards, expected %d", cp2.Resumed(), len(pe.Completed))
 	}
-	mc.SetCheckpoint(cp2)
-	got, err := e.RunContext(context.Background(), shots, seed, workers)
-	mc.SetCheckpoint(nil)
+	got, err := e.RunContext(mc.WithCheckpoint(context.Background(), cp2), shots, seed, workers)
 	cp2.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -158,9 +158,9 @@ func (e *Experiment) RunSharded(shots int, seed int64, workers int) Result {
 // RunContext is RunSharded under a context: cancellation or deadline expiry
 // stops dispatching new shards and returns the pooled tally of the shards
 // that completed, alongside a *mc.PartialError identifying them. With a
-// checkpoint installed (mc.SetCheckpoint) completed shards are persisted and
-// skipped on resume, so an interrupted run can be finished later with
-// bit-identical counts.
+// checkpoint scope on ctx (mc.WithCheckpoint) completed shards are
+// persisted and skipped on resume, so an interrupted run can be finished
+// later with bit-identical counts.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}
 	tally, err := mc.RunContext(ctx, cfg, func() mc.ShardRunner {

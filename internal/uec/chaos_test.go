@@ -52,11 +52,9 @@ func TestChaosUECCancelResumeBitIdentical(t *testing.T) {
 	// 2048 shots = 8 shards per basis; cancel inside the second sub-run so
 	// the resume must splice shards from both run keys.
 	in := chaos.New(1).CancelAfter(11, cancel)
-	mc.SetCheckpoint(cp)
 	mc.SetFaultInjector(in)
-	_, err = bothBases(ctx)
+	_, err = bothBases(mc.WithCheckpoint(ctx, cp))
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cancel()
 	cp.Close()
 	if !errors.Is(err, context.Canceled) {
@@ -70,9 +68,7 @@ func TestChaosUECCancelResumeBitIdentical(t *testing.T) {
 	if cp2.Resumed() == 0 {
 		t.Fatal("nothing checkpointed before the interrupt")
 	}
-	mc.SetCheckpoint(cp2)
-	got, err := bothBases(context.Background())
-	mc.SetCheckpoint(nil)
+	got, err := bothBases(mc.WithCheckpoint(context.Background(), cp2))
 	cp2.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -538,9 +538,9 @@ func (e *Experiment) RunSharded(shots int, seed int64, workers int) Result {
 
 // RunContext is RunSharded under a context: cancellation stops dispatching
 // new shards and returns the exact pooled tally of the completed shards
-// alongside a *mc.PartialError. With a checkpoint installed via
-// mc.SetCheckpoint, completed shards persist across interrupts and are not
-// re-executed on resume.
+// alongside a *mc.PartialError. With a checkpoint scope on ctx
+// (mc.WithCheckpoint), completed shards persist across interrupts and are
+// not re-executed on resume.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
 	k := e.numChecks
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}
