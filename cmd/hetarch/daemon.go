@@ -8,6 +8,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -23,6 +24,7 @@ import (
 	dsecache "hetarch/internal/dse/cache"
 	"hetarch/internal/experiments"
 	"hetarch/internal/jobs"
+	"hetarch/internal/jsonl"
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/checkpoint"
 	"hetarch/internal/obs"
@@ -179,12 +181,8 @@ func daemonRun(ctx context.Context, cfg daemonConfig, stdout, stderr io.Writer) 
 		return exitError
 	}
 	if cfg.addrFile != "" {
-		// tmp+rename: a script polling the file never reads a torn address.
-		tmp := cfg.addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(srv.Addr()+"\n"), 0o644); err == nil {
-			err = os.Rename(tmp, cfg.addrFile)
-		}
-		if err != nil {
+		// Replaced whole: a script polling the file never reads a torn address.
+		if err := jsonl.WriteFile(cfg.addrFile, []byte(srv.Addr()+"\n")); err != nil {
 			fmt.Fprintln(stderr, "hetarch: serve: addr-file:", err)
 			srv.Close()
 			mgr.Close()
@@ -246,18 +244,12 @@ func daemonRunner(stderr io.Writer, led *ledger.Ledger, charStore core.Character
 			outName = "output.json"
 		}
 		outPath := filepath.Join(dir, outName)
-		tmp := outPath + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			cp.Close()
-			return jobs.Result{}, err
-		}
-
-		emit := tablePrinter(io.Writer(f))
+		var out bytes.Buffer
+		emit := tablePrinter(&out)
 		if spec.JSON {
-			emit = tableJSON(f)
+			emit = tableJSON(&out)
 		}
-		runners := buildRunners(rctx, sc, spec.Seed, spec.Workers, f, stderr, emit, charStore)
+		runners := buildRunners(rctx, sc, spec.Seed, spec.Workers, &out, stderr, emit, charStore)
 
 		start := time.Now()
 		var runErr error
@@ -271,21 +263,17 @@ func daemonRunner(stderr io.Writer, led *ledger.Ledger, charStore core.Character
 		} else {
 			runErr = runners[spec.Experiment]()
 		}
-		if cerr := f.Close(); runErr == nil {
-			runErr = cerr
-		}
 		cp.Close() // flush before digesting the checkpoint artifact
 		if runErr != nil {
 			// The partial output is discarded; the checkpoint is the resume
 			// state and stays. Interrupted jobs get no ledger envelope —
 			// exactly one OK/error envelope per job, at its terminal run.
-			os.Remove(tmp)
 			if !interrupted(ctx, runErr) {
 				appendJobEnvelope(stderr, led, job, ledger.StatusError, runErr, start, nil, counting)
 			}
 			return jobs.Result{}, runErr
 		}
-		if err := os.Rename(tmp, outPath); err != nil {
+		if err := jsonl.WriteFile(outPath, out.Bytes()); err != nil {
 			return jobs.Result{}, err
 		}
 

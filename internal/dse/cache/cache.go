@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 
 	"hetarch/internal/cell"
+	"hetarch/internal/jsonl"
 	"hetarch/internal/obs"
 	"hetarch/internal/obs/trace"
 )
@@ -151,9 +152,9 @@ func (d *Dir) Load(key string) (*cell.Characterization, bool, error) {
 	return e.Characterization, true, nil
 }
 
-// Store implements core.CharacterizationStore: it marshals the envelope to
-// a temp file in the cache directory and renames it into place, so a crash
-// mid-write leaves at worst a stray .tmp file, never a torn entry.
+// Store implements core.CharacterizationStore: it marshals the envelope and
+// writes it with jsonl.WriteFile, so a crash mid-write leaves at worst a
+// stray .tmp file, never a torn or empty entry.
 func (d *Dir) Store(key string, c *cell.Characterization) error {
 	data, err := json.MarshalIndent(entry{
 		Format:           Format,
@@ -166,21 +167,8 @@ func (d *Dir) Store(key string, c *cell.Characterization) error {
 		return fmt.Errorf("dse/cache: encode %q: %w", key, err)
 	}
 	path := d.file(key)
-	tmp, err := os.CreateTemp(d.dir, "entry-*.tmp")
-	if err != nil {
-		return fmt.Errorf("dse/cache: %w", err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dse/cache: write %s: %w", path, werr)
+	if err := jsonl.WriteFile(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("dse/cache: write %s: %w", path, err)
 	}
 	cacheWrites.Inc()
 	traceMark("cache write")

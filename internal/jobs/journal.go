@@ -2,13 +2,12 @@
 // submitted and what became of it.
 //
 // The file (journal.jsonl inside the jobs data directory) follows the
-// repo's append-only line discipline (see internal/obs/ledger and
-// internal/mc/checkpoint, DESIGN.md §11): every record is marshalled to a
-// single newline-terminated line and written with one write(2) on an
-// O_APPEND descriptor, synced before the state transition is considered
-// committed. A process killed mid-append leaves at most one torn trailing
-// line, which Replay drops and OpenJournal heals by starting the next
-// append on a fresh line boundary.
+// repo's append-only line discipline (internal/jsonl, DESIGN.md §11):
+// every record is a single newline-terminated line written with one
+// write(2) on an O_APPEND descriptor, synced before the state transition
+// is considered committed. A process killed mid-append leaves at most one
+// torn trailing line, which Replay drops and OpenJournal heals by starting
+// the next append on a fresh line boundary.
 //
 // Two record types:
 //
@@ -29,12 +28,14 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sync"
 
+	"hetarch/internal/jsonl"
 	"hetarch/internal/obs/ledger"
-	"hetarch/internal/obs/recorder"
 	"hetarch/internal/obs/runlog"
 )
 
@@ -77,43 +78,30 @@ type Submission struct {
 type Journal struct {
 	mu   sync.Mutex
 	path string
-	f    *os.File
+	a    *jsonl.Appender
 }
 
 // OpenJournal opens (creating if absent) the journal at path, replays its
-// records into per-job histories, and heals a torn tail so the next append
-// starts on a clean line boundary. The replayed records are returned in
-// file order.
+// records into per-job histories, and heals an unterminated last line so
+// the next append starts on a clean line boundary. The replayed records
+// are returned in file order.
 func OpenJournal(path string) (*Journal, []Record, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: journal %s: %w", path, err)
-	}
 	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("jobs: journal %s: %w", path, err)
 	}
-	lines, tail := recorder.SplitTailTolerant(data)
-	if len(tail) > 0 {
-		if json.Valid(tail) {
-			lines = append(lines, tail)
-		} else {
-			// Torn mid-append by a kill: the record is lost (its transition
-			// never committed), but the boundary must be healed so this
-			// process's first append starts a fresh line.
-			runlog.L().Warn(evTornTail, "path", path, "bytes", len(tail))
-			if _, err := f.Write([]byte{'\n'}); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("jobs: heal journal %s: %w", path, err)
-			}
-		}
+	lines, torn := jsonl.Split(data)
+	if len(torn) > 0 {
+		// Torn mid-append by a kill: the record is lost (its transition
+		// never committed); jsonl.Open heals the boundary.
+		runlog.L().Warn(evTornTail, "path", path, "bytes", len(torn))
+	}
+	a, _, err := jsonl.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("jobs: journal %s: %w", path, err)
 	}
 	var records []Record
 	for _, raw := range lines {
-		if len(raw) == 0 {
-			continue
-		}
 		var r Record
 		if err := json.Unmarshal(raw, &r); err != nil {
 			continue // out-of-band corruption: skip, like the ledger reader
@@ -124,7 +112,7 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 		}
 		// Unknown types skipped for forward compatibility.
 	}
-	return &Journal{path: path, f: f}, records, nil
+	return &Journal{path: path, a: a}, records, nil
 }
 
 // Path returns the journal file path.
@@ -134,20 +122,15 @@ func (j *Journal) Path() string { return j.path }
 // O_APPEND descriptor, synced to the OS before returning. A state
 // transition is durable iff Append returned nil.
 func (j *Journal) Append(r Record) error {
-	line, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("jobs: journal encode: %w", err)
-	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.a == nil {
 		return fmt.Errorf("jobs: journal %s: closed", j.path)
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if err := j.a.Append(r); err != nil {
 		return fmt.Errorf("jobs: journal append %s: %w", j.path, err)
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.a.Sync(); err != nil {
 		return fmt.Errorf("jobs: journal sync %s: %w", j.path, err)
 	}
 	return nil
@@ -157,10 +140,10 @@ func (j *Journal) Append(r Record) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.a == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
+	err := j.a.Close()
+	j.a = nil
 	return err
 }

@@ -132,6 +132,49 @@ func TestJournalCompleteUnterminatedTail(t *testing.T) {
 	}
 }
 
+// The next append after an unterminated-but-valid last record must start
+// on a fresh line; otherwise the two records merge into one unparseable
+// line, both are skipped, and a restarted daemon forgets the job.
+func TestJournalUnterminatedTailThenAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalName)
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Type: "job.submitted", Job: testSubmission("job-a")}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(strings.TrimSuffix(string(data), "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Append(Record{Type: "job.state", ID: "job-a", State: StateRunning, At: now()}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	_, records, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 {
+		t.Fatalf("replayed %d records, want 2 (submission + state)", len(records))
+	}
+	if records[0].Job == nil || records[0].Job.ID != "job-a" || records[1].State != StateRunning {
+		t.Fatalf("replayed %+v, %+v; want job-a submitted, then running", records[0], records[1])
+	}
+}
+
 // Garbage interior lines (out-of-band corruption) are skipped, not fatal —
 // the same contract as the run ledger's reader.
 func TestJournalSkipsCorruptInteriorLine(t *testing.T) {

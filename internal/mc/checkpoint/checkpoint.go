@@ -2,10 +2,10 @@
 // crash-tolerant JSONL file so an interrupted Monte Carlo campaign can
 // resume without repeating completed work.
 //
-// The artifact is line-oriented, one JSON object per line, flushed per
-// record — the flight recorder's discipline (see internal/obs/recorder):
-// killing the process at any point loses at most the line being written,
-// and the reader drops a torn trailing line instead of failing.
+// The artifact is line-oriented, one JSON object per line, written to the
+// OS per record (internal/jsonl): killing the process at any point loses
+// at most the line being written, and the reader drops a torn trailing
+// line instead of failing.
 //
 //	{"type":"checkpoint", ...}   exactly one, first line: the run identity
 //	{"type":"shard", ...}        one per completed shard
@@ -33,8 +33,8 @@ import (
 	"sync"
 	"time"
 
+	"hetarch/internal/jsonl"
 	"hetarch/internal/mc"
-	"hetarch/internal/obs/recorder"
 	"hetarch/internal/obs/runlog"
 )
 
@@ -133,8 +133,7 @@ type entryVal struct {
 // engine's workers; every Record is flushed to the OS before returning.
 type File struct {
 	mu       sync.Mutex
-	f        *os.File
-	enc      *json.Encoder
+	a        *jsonl.Appender
 	meta     Meta
 	done     map[entryKey]entryVal
 	resumed  int
@@ -144,8 +143,8 @@ type File struct {
 
 // Open loads the checkpoint at path, validating that it belongs to the run
 // described by meta, or creates a fresh one if the file does not exist.
-// A crash-truncated trailing line is dropped (and the file rewritten
-// without it so subsequent appends start on a clean line boundary).
+// A crash-truncated trailing line is dropped, and the file rewritten
+// without it, once the header has been validated.
 //
 // Open first takes a pid+run-ID lockfile beside the JSONL (see lock.go):
 // a checkpoint held by a live run fails with ErrLocked so two processes
@@ -168,102 +167,61 @@ func Open(path string, meta Meta) (*File, error) {
 
 func open(path string, meta Meta) (*File, error) {
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return create(path, meta)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	lines, torn := jsonl.Split(data)
+	cf := &File{meta: meta, done: map[entryKey]entryVal{}}
+	if len(lines) > 0 {
+		if err := cf.load(path, lines); err != nil {
+			return nil, err
+		}
+	}
+	if len(torn) > 0 {
+		// The lockfile makes this process the only writer, so the torn
+		// tail is cut from the file rather than healed into an interior
+		// line, which load would reject on the next Open.
+		runlog.L().Warn(evTornTail, "path", path, "shards", len(cf.done))
+		if err := jsonl.WriteFile(path, data[:len(data)-len(torn)]); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+	}
+	a, _, err := jsonl.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-
-	lines, tail := recorder.SplitTailTolerant(data)
-	truncated := len(tail) > 0
-	if truncated && json.Valid(tail) {
-		lines = append(lines, tail)
-	}
+	cf.a = a
 	if len(lines) == 0 {
-		return create(path, meta)
+		if err := a.Append(meta); err != nil {
+			a.Close()
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
 	}
+	return cf, nil
+}
 
+// load validates the header line against the run in f.meta and replays
+// the shard records, adopting the file's own meta.
+func (f *File) load(path string, lines [][]byte) error {
 	var prev Meta
 	if err := json.Unmarshal(lines[0], &prev); err != nil || prev.Type != "checkpoint" {
-		return nil, fmt.Errorf("checkpoint %s: first record is not a checkpoint header", path)
+		return fmt.Errorf("checkpoint %s: first record is not a checkpoint header", path)
 	}
-	if err := compatible(prev, meta); err != nil {
-		return nil, fmt.Errorf("checkpoint %s was written by a different run (%v); delete it or rerun with matching flags", path, err)
+	if err := compatible(prev, f.meta); err != nil {
+		return fmt.Errorf("checkpoint %s was written by a different run (%v); delete it or rerun with matching flags", path, err)
 	}
-
-	done := map[entryKey]entryVal{}
 	for i, raw := range lines[1:] {
-		if len(raw) == 0 {
-			continue
-		}
 		var rec shardRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("checkpoint %s: line %d: %w", path, i+2, err)
+			return fmt.Errorf("checkpoint %s: record %d: %w", path, i+2, err)
 		}
 		if rec.Type != "shard" {
 			continue // forward compatibility
 		}
 		k := entryKey{mc.RunKey{Run: rec.Run, Shots: rec.RunShots, Seed: rec.RunSeed, ShardSize: rec.ShardSize}, rec.Shard}
-		done[k] = entryVal{seed: rec.ShardSeed, tally: mc.Tally{Shots: rec.Shots, Errors: rec.Errors}}
+		f.done[k] = entryVal{seed: rec.ShardSeed, tally: mc.Tally{Shots: rec.Shots, Errors: rec.Errors}}
 	}
-
-	if truncated {
-		// Rewrite without the torn tail so appends start on a line boundary.
-		runlog.L().Warn(evTornTail, "path", path, "shards", len(done))
-		if err := rewrite(path, prev, done); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return &File{f: f, enc: json.NewEncoder(f), meta: prev, done: done, resumed: len(done)}, nil
-}
-
-func create(path string, meta Meta) (*File, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	cf := &File{f: f, enc: json.NewEncoder(f), meta: meta, done: map[entryKey]entryVal{}}
-	if err := cf.enc.Encode(meta); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return cf, nil
-}
-
-// rewrite replaces path with a clean artifact holding meta plus the loaded
-// shard records, via tmp-and-rename.
-func rewrite(path string, meta Meta, done map[entryKey]entryVal) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	err = enc.Encode(meta)
-	for k, v := range done {
-		if err != nil {
-			break
-		}
-		err = enc.Encode(record(k, v))
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
+	f.meta, f.resumed = prev, len(f.done)
 	return nil
 }
 
@@ -331,7 +289,7 @@ func (f *File) Record(key mc.RunKey, sh mc.Shard, t mc.Tally) error {
 	if _, ok := f.done[k]; ok {
 		return nil
 	}
-	if err := f.enc.Encode(record(k, entryVal{seed: sh.Seed, tally: t})); err != nil {
+	if err := f.a.Append(record(k, entryVal{seed: sh.Seed, tally: t})); err != nil {
 		return err
 	}
 	f.done[k] = entryVal{seed: sh.Seed, tally: t}
@@ -348,7 +306,7 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.closed = true
-	err := f.f.Close()
+	err := f.a.Close()
 	if f.lockPath != "" {
 		os.Remove(f.lockPath)
 	}

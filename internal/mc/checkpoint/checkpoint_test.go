@@ -244,6 +244,48 @@ func TestTruncatedTailDropped(t *testing.T) {
 	}
 }
 
+// TestTornTailHealKeepsIntactPrefix: healing a torn checkpoint cuts only
+// the torn bytes. The intact lines stay byte for byte and in file order,
+// including record types this build skips.
+func TestTornTailHealKeepsIntactPrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	cfg := mc.Config{Shots: 2_560, Seed: 7, Workers: 1}
+	cp, err := Open(path, meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp), cfg, testRunner); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n") // header, 10 shards, ""
+	intact := lines[0] + `{"type":"future","note":"kept"}` + "\n" + strings.Join(lines[1:len(lines)-2], "")
+	if err := os.WriteFile(path, []byte(intact+lines[len(lines)-2][:40]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cp2, err := Open(path, meta())
+	if err != nil {
+		t.Fatalf("torn checkpoint must open: %v", err)
+	}
+	defer cp2.Close()
+	if cp2.Resumed() != 9 {
+		t.Fatalf("resumed %d shards, want 9", cp2.Resumed())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != intact {
+		t.Fatalf("healed file is not the intact prefix:\n got: %s\nwant: %s", got, intact)
+	}
+}
+
 // TestOpenRejectsMismatchedRun: a checkpoint from a different experiment,
 // seed, scale, shot budget, or revision must be refused, not spliced.
 func TestOpenRejectsMismatchedRun(t *testing.T) {
@@ -253,6 +295,13 @@ func TestOpenRejectsMismatchedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.Close()
+	// A torn tail a matching run would cut: a refused Open must leave the
+	// file byte-identical.
+	tornTail(t, path)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	mutations := map[string]func(*Meta){
 		"experiment": func(m *Meta) { m.Experiment = "other" },
@@ -269,6 +318,7 @@ func TestOpenRejectsMismatchedRun(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "different run") {
 			t.Errorf("%s: unhelpful error: %v", name, err)
 		}
+		assertUnchanged(t, path, before)
 	}
 
 	// Matching meta still opens.
@@ -286,6 +336,42 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	}
 	if _, err := Open(path, meta()); err == nil {
 		t.Fatal("recorder artifact accepted as a checkpoint")
+	}
+	tornTail(t, path)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, meta()); err == nil {
+		t.Fatal("torn recorder artifact accepted as a checkpoint")
+	}
+	assertUnchanged(t, path, before)
+}
+
+// tornTail appends a partial record, as a kill mid-append leaves.
+func tornTail(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"shard","ru`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertUnchanged fails unless the file at path still holds want.
+func assertUnchanged(t *testing.T, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("refused Open modified the file:\n got: %q\nwant: %q", got, want)
 	}
 }
 

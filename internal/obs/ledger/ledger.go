@@ -7,14 +7,14 @@
 // entries, bench baselines — each with a SHA-256 digest so provenance can
 // be verified after the fact (`hetarch runs show`).
 //
-// The file follows the append-only line discipline shared with
-// internal/obs/recorder and internal/mc/checkpoint: every envelope is
-// marshalled to one newline-terminated line and written with a single
-// write(2) on an O_APPEND descriptor, so concurrent appends from separate
-// processes interleave at line granularity and never tear each other. A
-// process killed mid-append leaves at most one torn trailing line, which
-// readers drop (reported via Log.Truncated) and Open heals by starting the
-// next append on a fresh line boundary.
+// The file follows the append-only line discipline of internal/jsonl:
+// every envelope is one newline-terminated line written with a single
+// write(2) on an O_APPEND descriptor and synced before Append returns, so
+// concurrent appends from separate processes interleave at line
+// granularity and never tear each other. A process killed mid-append
+// leaves at most one torn trailing line, which readers drop (reported via
+// Log.Truncated) and Open heals by starting the next append on a fresh
+// line boundary.
 //
 // The ledger is strictly results-neutral: it is written after the run's
 // stdout is complete and only ever reads the artifacts the run already
@@ -35,8 +35,8 @@ import (
 	"strings"
 	"sync"
 
+	"hetarch/internal/jsonl"
 	"hetarch/internal/obs"
-	"hetarch/internal/obs/recorder"
 	"hetarch/internal/obs/runlog"
 	"hetarch/internal/obs/stats"
 )
@@ -165,7 +165,7 @@ type Envelope struct {
 type Ledger struct {
 	mu   sync.Mutex
 	path string
-	f    *os.File
+	a    *jsonl.Appender
 }
 
 // Open creates the ledger directory if needed and opens dir/ledger.jsonl
@@ -177,45 +177,14 @@ func Open(dir string) (*Ledger, error) {
 		return nil, fmt.Errorf("ledger: open %s: %w", dir, err)
 	}
 	path := filepath.Join(dir, FileName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	a, healed, err := jsonl.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: open %s: %w", path, err)
 	}
-	if err := healTail(path, f); err != nil {
-		f.Close()
-		return nil, err
+	if healed {
+		runlog.L().Warn(evTornTail, "path", path)
 	}
-	return &Ledger{path: path, f: f}, nil
-}
-
-// healTail appends a newline when the file does not end in one, so the
-// first Append of this process starts on a line boundary. The torn bytes
-// before it remain in place; readers drop them as an unparseable line.
-func healTail(path string, f *os.File) error {
-	r, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	defer r.Close()
-	st, err := r.Stat()
-	if err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	if st.Size() == 0 {
-		return nil
-	}
-	var last [1]byte
-	if _, err := r.ReadAt(last[:], st.Size()-1); err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	if last[0] == '\n' {
-		return nil
-	}
-	runlog.L().Warn(evTornTail, "path", path, "bytes", st.Size())
-	if _, err := f.Write([]byte{'\n'}); err != nil {
-		return fmt.Errorf("ledger: heal torn tail of %s: %w", path, err)
-	}
-	return nil
+	return &Ledger{path: path, a: a}, nil
 }
 
 // Path returns the ledger file path.
@@ -227,20 +196,14 @@ func (l *Ledger) Path() string { return l.path }
 // after Append cannot lose the record.
 func (l *Ledger) Append(e Envelope) error {
 	e.Type = "run"
-	line, err := json.Marshal(e)
-	if err != nil {
-		appendErrors.Inc()
-		return fmt.Errorf("ledger: encode run %s: %w", e.RunID, err)
-	}
-	line = append(line, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.Write(line); err != nil {
+	if err := l.a.Append(e); err != nil {
 		appendErrors.Inc()
 		runlog.L().Warn(evAppendError, "path", l.path, "err", err.Error())
 		return fmt.Errorf("ledger: append to %s: %w", l.path, err)
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.a.Sync(); err != nil {
 		appendErrors.Inc()
 		return fmt.Errorf("ledger: sync %s: %w", l.path, err)
 	}
@@ -253,7 +216,7 @@ func (l *Ledger) Append(e Envelope) error {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.a.Close()
 }
 
 // Log is a parsed ledger.
@@ -281,12 +244,9 @@ func ReadFile(path string) (*Log, error) {
 }
 
 func parse(data []byte) *Log {
-	lines, truncated := splitLines(data)
-	lg := &Log{Truncated: truncated}
+	lines, torn := jsonl.Split(data)
+	lg := &Log{Truncated: len(torn) > 0}
 	for _, raw := range lines {
-		if len(raw) == 0 {
-			continue
-		}
 		e, isRun, err := decodeRun(raw)
 		switch {
 		case err != nil:
@@ -296,20 +256,6 @@ func parse(data []byte) *Log {
 		}
 	}
 	return lg
-}
-
-// splitLines splits the ledger into its lines. A tail whose newline was
-// lost but which parses is a complete line; any other tail is the torn
-// write of a killed process, dropped and reported as truncated.
-func splitLines(data []byte) (lines [][]byte, truncated bool) {
-	lines, tail := recorder.SplitTailTolerant(data)
-	if len(tail) > 0 {
-		if !json.Valid(tail) {
-			return lines, true
-		}
-		lines = append(lines, tail)
-	}
-	return lines, false
 }
 
 // decodeRun decodes one ledger line. isRun is false for record types
@@ -457,10 +403,10 @@ func gone(e *Envelope) bool {
 }
 
 // GC prunes envelopes whose artifacts are all gone, rewriting the ledger
-// via tmp-and-rename. Every other line is copied byte for byte — kept
+// with jsonl.WriteFile. Every other line is copied byte for byte — kept
 // envelopes, record types and envelope fields this build does not know,
 // lines it cannot parse — so gc never erases what another version of the
-// tool wrote; only a torn tail is dropped. With dryRun the file is left
+// tool wrote; only a torn tail and blank lines are dropped. With dryRun the file is left
 // untouched and the partition is merely reported. GC is not safe against
 // a concurrent Append from another process; run it while the ledger is
 // quiet.
@@ -469,7 +415,7 @@ func GC(path string, dryRun bool) (kept, pruned []Envelope, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("ledger: %w", err)
 	}
-	lines, _ := splitLines(data)
+	lines, _ := jsonl.Split(data)
 	var out []byte
 	for _, raw := range lines {
 		if e, isRun, err := decodeRun(raw); err == nil && isRun {
@@ -485,23 +431,7 @@ func GC(path string, dryRun bool) (kept, pruned []Envelope, err error) {
 	if dryRun || len(pruned) == 0 {
 		return kept, pruned, nil
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ledger: gc: %w", err)
-	}
-	_, err = f.Write(out)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := jsonl.WriteFile(path, out); err != nil {
 		return nil, nil, fmt.Errorf("ledger: gc: %w", err)
 	}
 	runsPruned.Add(int64(len(pruned)))

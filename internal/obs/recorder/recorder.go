@@ -17,8 +17,6 @@
 package recorder
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"hetarch/internal/jsonl"
 	"hetarch/internal/obs"
 	"hetarch/internal/obs/runlog"
 )
@@ -121,27 +120,22 @@ func NewHeader(tool, experiment, scale string, seed int64, workers int, args []s
 }
 
 // Writer journals records to an io.Writer, one JSON object per line.
-// Methods are safe for concurrent use; each record is flushed as soon as it
-// is written so a crash cannot lose completed batches.
+// Methods are safe for concurrent use; each record reaches w in a single
+// Write as soon as it is written, so a crash cannot lose completed batches.
 type Writer struct {
 	mu  sync.Mutex
-	bw  *bufio.Writer
 	enc *json.Encoder
 }
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
+	return &Writer{enc: json.NewEncoder(w)}
 }
 
 func (w *Writer) write(rec any) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.enc.Encode(rec); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	return w.enc.Encode(rec)
 }
 
 // WriteHeader writes the header record (first line of the artifact).
@@ -180,10 +174,10 @@ func CreateFile(path string) (*FileWriter, error) {
 }
 
 // FinalizeAtomic writes the final record atomically: the artifact journaled
-// so far plus the final line go to <path>.tmp, which is then renamed over
-// the original. A reader (cmd/obsdiff) therefore sees either a final-less
-// in-flight artifact or a complete one — never a torn final snapshot —
-// even if the process dies mid-write. The writer is unusable afterwards.
+// so far plus the final line replace the original via jsonl.WriteFile. A
+// reader (cmd/obsdiff) therefore sees either a final-less in-flight
+// artifact or a complete one — never a torn final snapshot — even if the
+// process dies mid-write. The writer is unusable afterwards.
 func (w *FileWriter) FinalizeAtomic(fin Final) error {
 	// Every record is flushed as it is written, so the on-disk file holds
 	// the full journal up to this point.
@@ -196,29 +190,11 @@ func (w *FileWriter) FinalizeAtomic(fin Final) error {
 	if err != nil {
 		return err
 	}
-	tmp := w.path + ".tmp"
-	tf, err := os.Create(tmp)
-	if err != nil {
+	data = append(append(data, line...), '\n')
+	if err := jsonl.WriteFile(w.path, data); err != nil {
 		return err
 	}
-	if _, err := tf.Write(data); err == nil {
-		_, err = tf.Write(append(line, '\n'))
-	}
-	if err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	runlog.L().Info(evFinalized, "path", w.path, "bytes", len(data)+len(line)+1)
+	runlog.L().Info(evFinalized, "path", w.path, "bytes", len(data))
 	return w.f.Close()
 }
 
@@ -262,24 +238,6 @@ func (r *Run) TotalErrors() int64 {
 	return n
 }
 
-// SplitTailTolerant splits a JSONL artifact into its newline-terminated
-// lines plus the unterminated tail, if any. The writers here terminate
-// every record with a newline before flushing, so a non-empty tail is the
-// signature of a process killed mid-write; readers treat a tail that does
-// not parse as a dropped partial record rather than corruption. The
-// checkpoint store shares this discipline.
-func SplitTailTolerant(data []byte) (lines [][]byte, tail []byte) {
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return lines, data
-		}
-		lines = append(lines, data[:nl])
-		data = data[nl+1:]
-	}
-	return lines, nil
-}
-
 // Read parses a JSONL artifact. It requires the header to be the first
 // record, tolerates a missing final record and a partial (crash-truncated)
 // last line — reported via Run.Truncated — and skips record types it does
@@ -289,56 +247,46 @@ func Read(r io.Reader) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recorder: %w", err)
 	}
-	lines, tail := SplitTailTolerant(data)
-	run := &Run{}
-	if len(tail) > 0 {
-		// A tail that parses is a complete record whose newline was lost;
-		// anything else is the torn write of a killed process — drop it.
-		if json.Valid(tail) {
-			lines = append(lines, tail)
-		} else {
-			run.Truncated = true
-			runlog.L().Warn(evTornTail, "bytes", len(tail))
-		}
+	lines, torn := jsonl.Split(data)
+	run := &Run{Truncated: len(torn) > 0}
+	if run.Truncated {
+		runlog.L().Warn(evTornTail, "bytes", len(torn))
 	}
 	sawHeader := false
 	for i, raw := range lines {
-		line := i + 1
-		if len(raw) == 0 {
-			continue
-		}
+		rec := i + 1
 		var probe struct {
 			Type string `json:"type"`
 		}
 		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, fmt.Errorf("recorder: line %d: %w", line, err)
+			return nil, fmt.Errorf("recorder: record %d: %w", rec, err)
 		}
 		switch probe.Type {
 		case "header":
 			if sawHeader {
-				return nil, fmt.Errorf("recorder: line %d: duplicate header", line)
+				return nil, fmt.Errorf("recorder: record %d: duplicate header", rec)
 			}
 			if err := json.Unmarshal(raw, &run.Header); err != nil {
-				return nil, fmt.Errorf("recorder: line %d: %w", line, err)
+				return nil, fmt.Errorf("recorder: record %d: %w", rec, err)
 			}
 			sawHeader = true
 		case "batch":
 			var b Batch
 			if err := json.Unmarshal(raw, &b); err != nil {
-				return nil, fmt.Errorf("recorder: line %d: %w", line, err)
+				return nil, fmt.Errorf("recorder: record %d: %w", rec, err)
 			}
 			run.Batches = append(run.Batches, b)
 		case "final":
 			var f Final
 			if err := json.Unmarshal(raw, &f); err != nil {
-				return nil, fmt.Errorf("recorder: line %d: %w", line, err)
+				return nil, fmt.Errorf("recorder: record %d: %w", rec, err)
 			}
 			run.Final = &f
 		default:
 			// Unknown record kind: forward compatibility, skip.
 		}
 		if !sawHeader {
-			return nil, fmt.Errorf("recorder: line %d: first record must be the header", line)
+			return nil, fmt.Errorf("recorder: record %d: first record must be the header", rec)
 		}
 	}
 	if !sawHeader {
