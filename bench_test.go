@@ -279,7 +279,7 @@ func BenchmarkDistillationThroughput(b *testing.B) {
 // the d=5 surface-code memory experiment — 4096 shots sampled and decoded
 // per iteration at 1/2/4/8 workers. The counts are bit-identical across the
 // sub-benchmarks (the engine's determinism contract); only wall time moves,
-// so the scaling curve shows up directly in future BENCH snapshots.
+// so the scaling curve reads directly off the sub-benchmarks' ns/op.
 func BenchmarkSurfaceSharded(b *testing.B) {
 	e, err := surface.New(surface.DefaultParams(5))
 	if err != nil {

@@ -164,13 +164,13 @@ func daemonRun(ctx context.Context, cfg daemonConfig, stdout, stderr io.Writer) 
 	}
 
 	// The job API rides the telemetry mux, so one address serves /jobs,
-	// /metrics, /runs, and /debug/pprof together.
-	obs.DefaultTracer.SetEnabled(true)
+	// /metrics, /runs, and /debug/pprof together. No span tracer: its
+	// roots would accumulate for the daemon's lifetime, and concurrent
+	// jobs would share its one current-span pointer, so /spans answers 503.
 	rtPoller := runtimemetrics.Start(obs.Default, time.Second)
 	defer rtPoller.Stop()
 	srv, err := serve.Start(cfg.listen, serve.Options{
 		Registry:   obs.Default,
-		Tracer:     obs.DefaultTracer,
 		Trace:      trace.Default,
 		LedgerPath: ledgerPath,
 		Jobs:       mgr.Handler(),
@@ -190,7 +190,7 @@ func daemonRun(ctx context.Context, cfg daemonConfig, stdout, stderr io.Writer) 
 		}
 	}
 	lg.Info(runlog.EvTelemetryListen, "url", "http://"+srv.Addr()+"/",
-		"endpoints", "jobs,metrics,spans,runs,debug/pprof", "data_dir", cfg.dataDir)
+		"endpoints", "jobs,metrics,runs,debug/pprof", "data_dir", cfg.dataDir)
 	fmt.Fprintf(stdout, "hetarchd listening on http://%s/ (data dir %s)\n", srv.Addr(), cfg.dataDir)
 
 	mgr.Start(ctx)

@@ -244,6 +244,17 @@ func TestDaemonSubmitDedupLedger(t *testing.T) {
 	if len(list.Jobs) != 1 {
 		t.Fatalf("GET /jobs returned %d jobs, want 1", len(list.Jobs))
 	}
+
+	// The daemon arms no span tracer, so finished jobs leave no span
+	// roots behind: /spans is unavailable.
+	resp3, err := http.Get(d.url("/spans"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("GET /spans = %d, want 503", resp3.StatusCode)
+	}
 }
 
 // TestDaemonRestartResumeBitIdentical is the crash-tolerance story: the

@@ -1,8 +1,8 @@
-// Command obsdiff compares two run artifacts — flight-recorder JSONL files
-// written by `hetarch -record` or BENCH_*.json baselines written by
-// cmd/benchbaseline, in any combination — and flags regressions: throughput
-// drops beyond a relative tolerance, and logical-error-rate increases whose
-// Wilson confidence intervals no longer overlap.
+// Command obsdiff compares two flight-recorder JSONL files written by
+// `hetarch -record` and flags regressions: throughput drops beyond a
+// relative tolerance, and logical-error-rate increases whose Wilson
+// confidence intervals no longer overlap. `hetarch runs diff` runs the same
+// comparison on runs named by their ledger IDs; obsdiff takes file paths.
 //
 // Usage:
 //

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hetarch/internal/obs/recorder"
 )
 
 func writeFile(t *testing.T, dir, name, content string) string {
@@ -17,17 +19,29 @@ func writeFile(t *testing.T, dir, name, content string) string {
 	return path
 }
 
-func bench(shotsPerSec string) string {
-	return `{"entries":[{"experiment":"fig9","scale":"quick","shots":90000,"wall_seconds":0.1,"shots_per_sec":` + shotsPerSec + `}]}`
+// writeRecorderRun writes a quick-scale recorder artifact with one batch of
+// 90000 shots and 900 errors; wall sets the batch's throughput.
+func writeRecorderRun(t *testing.T, dir, name, experiment string, wall float64) string {
+	t.Helper()
+	var buf bytes.Buffer
+	w := recorder.NewWriter(&buf)
+	if err := w.WriteHeader(recorder.NewHeader("hetarch", experiment, "quick", 1, 1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(recorder.Batch{
+		Name: experiment, WallSeconds: wall, Shots: 90000, Errors: 900, TotalShots: 90000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return writeFile(t, dir, name, buf.String())
 }
 
 func TestRunExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", bench("1000000"))
-	same := writeFile(t, dir, "same.json", bench("990000"))
-	slow := writeFile(t, dir, "slow.json", bench("400000"))
-	other := writeFile(t, dir, "other.json",
-		`{"entries":[{"experiment":"table3","scale":"quick","shots":1,"wall_seconds":1,"shots_per_sec":1}]}`)
+	base := writeRecorderRun(t, dir, "base.jsonl", "fig9", 0.1)
+	same := writeRecorderRun(t, dir, "same.jsonl", "fig9", 0.101)
+	slow := writeRecorderRun(t, dir, "slow.jsonl", "fig9", 0.25)
+	other := writeRecorderRun(t, dir, "other.jsonl", "table3", 0.1)
 	garbage := writeFile(t, dir, "garbage", "not an artifact")
 
 	cases := []struct {
@@ -58,8 +72,8 @@ func TestRunExitCodes(t *testing.T) {
 
 func TestRunReportMentionsRegression(t *testing.T) {
 	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", bench("1000000"))
-	slow := writeFile(t, dir, "slow.json", bench("400000"))
+	base := writeRecorderRun(t, dir, "base.jsonl", "fig9", 0.1)
+	slow := writeRecorderRun(t, dir, "slow.jsonl", "fig9", 0.25)
 	var stdout, stderr bytes.Buffer
 	if got := run([]string{base, slow}, &stdout, &stderr); got != 1 {
 		t.Fatalf("exit %d, want 1", got)

@@ -1,134 +1,9 @@
-// Package bench defines the benchmark-artifact format shared by
-// cmd/benchbaseline (producer), cmd/benchtrend (trend table + regression
-// gate), and internal/obs/diff (pairwise comparison). A bench artifact is
-// either a single JSON Baseline object (the committed BENCH_baseline.json)
-// or a JSONL history file with one Baseline per line (CI appends one line
-// per run), and Load accepts both.
+// Package bench reports the build identity stamped on run and benchmark
+// artifacts: the recorder header, the checkpoint meta line and the
+// cmd/hetarchbench result header all carry the git revision it reads.
 package bench
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"os"
-	"runtime/debug"
-)
-
-// ErrNoBaselines reports an artifact that exists but holds no baselines —
-// a freshly created or truncated history file. Consumers that render
-// trends (cmd/benchtrend) treat it as "nothing to compare yet" rather than
-// a failure; match it with errors.Is.
-var ErrNoBaselines = errors.New("no baselines recorded yet")
-
-// Entry is one measured experiment within a baseline.
-type Entry struct {
-	Experiment  string  `json:"experiment"`
-	Scale       string  `json:"scale"`
-	Shots       int64   `json:"shots"`
-	WallSeconds float64 `json:"wall_seconds"`
-	ShotsPerSec float64 `json:"shots_per_sec"`
-
-	// Per-shot cost metrics, measured via runtime.ReadMemStats deltas
-	// around the timed run. Zero in artifacts that predate them (or for
-	// characterization-shaped experiments with no shot counter): trend
-	// tables render them as "-" and the gate skips them.
-	NsPerShot     float64 `json:"ns_per_shot,omitempty"`
-	AllocsPerShot float64 `json:"allocs_per_shot,omitempty"`
-	BytesPerShot  float64 `json:"bytes_per_shot,omitempty"`
-
-	// SteadyAllocsPerShot is the steady-state allocation count per shot:
-	// the experiment is constructed and warmed up once, then a second run
-	// is measured, so one-time construction (circuits, lookup tables,
-	// decoder arenas) is excluded and only the sample+decode hot path plus
-	// amortized per-run worker setup remains. This is the metric the
-	// zero-alloc gate (benchtrend -max-allocs) pins. A pointer so that a
-	// measured 0.0 — the whole point — survives JSON round-trips distinct
-	// from "not measured" (nil, rendered "-" and skipped by the gate).
-	SteadyAllocsPerShot *float64 `json:"steady_allocs_per_shot,omitempty"`
-}
-
-// Baseline is one benchmark run: host facts plus per-experiment entries.
-type Baseline struct {
-	// RunID is the run-ledger identity of the benchbaseline invocation
-	// that measured this artifact (empty for artifacts predating the
-	// ledger), linking a bench number back to `hetarch runs show`.
-	RunID       string `json:"run_id,omitempty"`
-	RecordedAt  string `json:"recorded_at"`
-	GoVersion   string `json:"go_version"`
-	GitRevision string `json:"git_revision,omitempty"`
-	GitDirty    bool   `json:"git_dirty,omitempty"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	NumCPU      int    `json:"num_cpu"`
-	// Workers is the effective mc worker count the baseline was measured
-	// at. Monte Carlo results are worker-count independent, so this only
-	// contextualizes the throughput numbers.
-	Workers int     `json:"workers"`
-	Entries []Entry `json:"entries"`
-}
-
-// Entry returns the named experiment's entry, or nil.
-func (b *Baseline) Entry(experiment string) *Entry {
-	for i := range b.Entries {
-		if b.Entries[i].Experiment == experiment {
-			return &b.Entries[i]
-		}
-	}
-	return nil
-}
-
-// Label identifies a baseline in trend tables: the short git revision
-// (with a -dirty suffix when the tree was modified), falling back to the
-// recording timestamp for artifacts that predate revision stamping. Two
-// dirty rebuilds of the same revision share a label — use SeriesLabels to
-// disambiguate within a series.
-func (b *Baseline) Label() string {
-	if b.GitRevision != "" {
-		rev := b.GitRevision
-		if len(rev) > 10 {
-			rev = rev[:10]
-		}
-		if b.GitDirty {
-			rev += "-dirty"
-		}
-		return rev
-	}
-	if b.RecordedAt != "" {
-		return b.RecordedAt
-	}
-	return "(unknown)"
-}
-
-// SeriesLabels returns one display label per baseline, disambiguating
-// duplicates (consecutive dirty rebuilds of the same revision, re-recorded
-// artifacts) by appending the recording timestamp — or a #index fallback
-// when even the timestamps collide — so trend tables and gate lines never
-// show two rows under one name.
-func SeriesLabels(series []Baseline) []string {
-	labels := make([]string, len(series))
-	count := map[string]int{}
-	for i := range series {
-		labels[i] = series[i].Label()
-		count[labels[i]]++
-	}
-	seen := map[string]int{}
-	for i, l := range labels {
-		if count[l] < 2 {
-			continue
-		}
-		if at := series[i].RecordedAt; at != "" && at != l {
-			labels[i] = l + "@" + at
-		}
-		// Timestamps can collide too (same-second rebuilds, or artifacts
-		// with no RecordedAt): fall back to the series position.
-		seen[labels[i]]++
-		if n := seen[labels[i]]; n > 1 {
-			labels[i] = fmt.Sprintf("%s#%d", labels[i], n)
-		}
-	}
-	return labels
-}
+import "runtime/debug"
 
 // VCSRevision reports the git revision baked into the binary by the go
 // tool (empty for non-VCS builds, e.g. plain `go test`).
@@ -146,54 +21,4 @@ func VCSRevision() (rev string, dirty bool) {
 		}
 	}
 	return rev, dirty
-}
-
-// Load reads one artifact file, accepting both shapes: a single JSON
-// Baseline object (indented or not) and a JSONL history with one Baseline
-// per line. Baselines are returned in file order (oldest first, the way CI
-// appends them).
-func Load(path string) ([]Baseline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f, path)
-}
-
-// Read parses an artifact from r (path is used in errors only).
-func Read(r io.Reader, path string) ([]Baseline, error) {
-	dec := json.NewDecoder(r)
-	var out []Baseline
-	for {
-		var b Baseline
-		if err := dec.Decode(&b); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("%s: not a bench artifact: %w", path, err)
-		}
-		if len(b.Entries) == 0 {
-			return nil, fmt.Errorf("%s: baseline %d has no entries", path, len(out))
-		}
-		out = append(out, b)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: empty bench artifact: %w", path, ErrNoBaselines)
-	}
-	return out, nil
-}
-
-// LoadSeries flattens Load over paths in argument order: pass history
-// files and/or single baselines oldest-first and the newest baseline ends
-// up last.
-func LoadSeries(paths ...string) ([]Baseline, error) {
-	var out []Baseline
-	for _, p := range paths {
-		bs, err := Load(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, bs...)
-	}
-	return out, nil
 }

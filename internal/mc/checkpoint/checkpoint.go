@@ -29,10 +29,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime/debug"
 	"sync"
 	"time"
 
+	"hetarch/internal/bench"
 	"hetarch/internal/jsonl"
 	"hetarch/internal/mc"
 	"hetarch/internal/obs/runlog"
@@ -63,7 +63,7 @@ type Meta struct {
 }
 
 // NewMeta fills a Meta for the current build: shard size from the engine
-// default, git revision from debug.ReadBuildInfo when available.
+// default, git revision from bench.VCSRevision when available.
 func NewMeta(tool, experiment, scale string, seed int64, shots int) Meta {
 	m := Meta{
 		Type:       "checkpoint",
@@ -75,13 +75,7 @@ func NewMeta(tool, experiment, scale string, seed int64, shots int) Meta {
 		ShardSize:  mc.DefaultShardSize,
 		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				m.GitRevision = s.Value
-			}
-		}
-	}
+	m.GitRevision, _ = bench.VCSRevision()
 	return m
 }
 

@@ -1,6 +1,5 @@
-// Package diff compares two performance/accuracy artifacts — flight-
-// recorder JSONL runs (internal/obs/recorder) or BENCH_*.json baselines
-// (cmd/benchbaseline) — and flags shifts that exceed what the statistics
+// Package diff compares two flight-recorder JSONL runs
+// (internal/obs/recorder) and flags shifts that exceed what the statistics
 // support: throughput drops beyond a relative tolerance, and logical-error-
 // rate increases whose Wilson confidence intervals do not overlap.
 //
@@ -9,8 +8,6 @@
 package diff
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -37,7 +34,6 @@ func (r Rate) Value() float64 {
 // Source is an artifact normalized to comparable metrics.
 type Source struct {
 	Path  string
-	Kind  string // "bench" or "recorder"
 	Scale string // "quick"/"full" when the artifact declares one
 
 	// Workers is the mc worker count the artifact was recorded at (0 when
@@ -51,21 +47,7 @@ type Source struct {
 	ErrorRates map[string]Rate    // experiment -> sampled error rate
 }
 
-// benchFile mirrors cmd/benchbaseline's output format.
-type benchFile struct {
-	Workers int `json:"workers"`
-	Entries []struct {
-		Experiment  string  `json:"experiment"`
-		Scale       string  `json:"scale"`
-		Shots       int64   `json:"shots"`
-		WallSeconds float64 `json:"wall_seconds"`
-		ShotsPerSec float64 `json:"shots_per_sec"`
-	} `json:"entries"`
-}
-
-// Load reads an artifact, sniffing the format: a JSON object with an
-// "entries" array is a bench baseline; otherwise it must parse as a
-// recorder JSONL run.
+// Load reads a recorder artifact from path.
 func Load(path string) (*Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -75,29 +57,14 @@ func Load(path string) (*Source, error) {
 	return Parse(f, path)
 }
 
-// Parse normalizes an artifact read from r (path is used for labels only).
+// Parse normalizes a recorder artifact read from r (path is used for
+// labels only).
 func Parse(r io.Reader, path string) (*Source, error) {
-	raw, err := io.ReadAll(r)
+	run, err := recorder.Read(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: not a recorder artifact: %w", path, err)
 	}
-	var bench benchFile
-	if err := json.Unmarshal(raw, &bench); err == nil && len(bench.Entries) > 0 {
-		s := &Source{Path: path, Kind: "bench", Workers: bench.Workers,
-			Throughput: map[string]float64{}, ErrorRates: map[string]Rate{}}
-		for _, e := range bench.Entries {
-			s.Throughput[e.Experiment] = e.ShotsPerSec
-			if s.Scale == "" {
-				s.Scale = e.Scale
-			}
-		}
-		return s, nil
-	}
-	run, err := recorder.Read(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("%s: not a bench baseline and not a recorder artifact: %w", path, err)
-	}
-	s := &Source{Path: path, Kind: "recorder", Scale: run.Header.Scale,
+	s := &Source{Path: path, Scale: run.Header.Scale,
 		Workers:    run.Header.Workers,
 		Throughput: map[string]float64{}, ErrorRates: map[string]Rate{}}
 	for _, b := range run.Batches {

@@ -3,27 +3,10 @@ package diff
 import (
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"hetarch/internal/obs/recorder"
 )
-
-func writeBench(t *testing.T, dir, name string, shotsPerSec float64) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	content := `{
-  "recorded_at": "2026-08-06T00:00:00Z",
-  "entries": [
-    {"experiment": "fig9", "scale": "quick", "shots": 90000, "wall_seconds": 0.025, "shots_per_sec": ` +
-		strconv.FormatFloat(shotsPerSec, 'g', -1, 64) + `}
-  ]
-}`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 func writeRecorderRun(t *testing.T, dir, name, scale string, shots, errors int64, wall float64) string {
 	t.Helper()
@@ -48,27 +31,33 @@ func writeRecorderRun(t *testing.T, dir, name, scale string, shots, errors int64
 
 func TestCompareBenchNoRegression(t *testing.T) {
 	dir := t.TempDir()
-	old := mustLoad(t, writeBench(t, dir, "old.json", 1000000))
-	new := mustLoad(t, writeBench(t, dir, "new.json", 950000)) // -5%: inside 20% tolerance
+	old := mustLoad(t, writeRecorderRun(t, dir, "old.jsonl", "quick", 90000, 900, 0.1))
+	// -5% throughput: inside the default 20% tolerance.
+	new := mustLoad(t, writeRecorderRun(t, dir, "new.jsonl", "quick", 90000, 900, 0.1/0.95))
 	rep, err := Compare(old, new, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Regressions != 0 || rep.ExitCode() != 0 {
+	if rep.Compared != 2 || rep.Regressions != 0 || rep.ExitCode() != 0 {
 		t.Fatalf("unexpected regression: %+v", rep)
 	}
 }
 
 func TestCompareBenchThroughputRegression(t *testing.T) {
 	dir := t.TempDir()
-	old := mustLoad(t, writeBench(t, dir, "old.json", 1000000))
-	new := mustLoad(t, writeBench(t, dir, "new.json", 500000)) // -50%
+	old := mustLoad(t, writeRecorderRun(t, dir, "old.jsonl", "quick", 90000, 900, 0.1))
+	new := mustLoad(t, writeRecorderRun(t, dir, "new.jsonl", "quick", 90000, 900, 0.2)) // -50%
 	rep, err := Compare(old, new, Options{Tolerance: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Regressions != 1 || rep.ExitCode() != 1 {
 		t.Fatalf("expected one regression: %+v", rep)
+	}
+	for _, f := range rep.Findings {
+		if f.Regression != (f.Metric == "throughput") {
+			t.Fatalf("only the throughput finding may regress: %+v", f)
+		}
 	}
 }
 
@@ -104,20 +93,6 @@ func TestCompareRecorderErrorRateRegression(t *testing.T) {
 	}
 }
 
-func TestCompareBenchAgainstRecorder(t *testing.T) {
-	dir := t.TempDir()
-	old := mustLoad(t, writeBench(t, dir, "bench.json", 1000000))
-	// Recorder run of the same experiment at comparable throughput.
-	new := mustLoad(t, writeRecorderRun(t, dir, "run.jsonl", "quick", 90000, 900, 0.1))
-	rep, err := Compare(old, new, Options{Tolerance: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Compared == 0 {
-		t.Fatal("bench and recorder artifacts of the same experiment must be comparable")
-	}
-}
-
 func TestCompareIncomparable(t *testing.T) {
 	dir := t.TempDir()
 	quick := mustLoad(t, writeRecorderRun(t, dir, "q.jsonl", "quick", 100, 1, 0.1))
@@ -127,8 +102,9 @@ func TestCompareIncomparable(t *testing.T) {
 	}
 
 	// No shared metric names.
-	other := mustLoad(t, writeBench(t, dir, "b.json", 100))
-	other.Throughput = map[string]float64{"table3": 5}
+	other := mustLoad(t, writeRecorderRun(t, dir, "o.jsonl", "quick", 100, 1, 0.1))
+	other.Throughput = map[string]float64{"table3": 1000}
+	other.ErrorRates = map[string]Rate{"table3": {Errors: 1, Shots: 100}}
 	mine := mustLoad(t, writeRecorderRun(t, dir, "m.jsonl", "quick", 100, 1, 0.1))
 	if _, err := Compare(other, mine, Options{}); err == nil {
 		t.Fatal("disjoint metrics must be incomparable")

@@ -23,10 +23,10 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
+	"hetarch/internal/bench"
 	"hetarch/internal/jsonl"
 	"hetarch/internal/obs"
 	"hetarch/internal/obs/runlog"
@@ -89,7 +89,7 @@ type Final struct {
 }
 
 // NewHeader fills a Header with the build/host facts (go version, git
-// revision via debug.ReadBuildInfo, GOOS/GOARCH/NumCPU), the effective mc
+// revision via bench.VCSRevision, GOOS/GOARCH/NumCPU), the effective mc
 // worker count, and the start time.
 func NewHeader(tool, experiment, scale string, seed int64, workers int, args []string) Header {
 	h := Header{
@@ -106,16 +106,7 @@ func NewHeader(tool, experiment, scale string, seed int64, workers int, args []s
 		Workers:    workers,
 		StartedAt:  time.Now().UTC().Format(time.RFC3339),
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				h.GitRevision = s.Value
-			case "vcs.modified":
-				h.GitDirty = s.Value == "true"
-			}
-		}
-	}
+	h.GitRevision, h.GitDirty = bench.VCSRevision()
 	return h
 }
 

@@ -48,8 +48,8 @@ func TestSampleFillsGauges(t *testing.T) {
 }
 
 // TestSampleTracksAllocation: allocating between samples must move the
-// cumulative allocation gauges monotonically — the delta-based
-// allocs-per-shot accounting in cmd/benchbaseline depends on it.
+// cumulative allocation gauges monotonically — reading allocation volume
+// as a delta between two snapshots depends on it.
 func TestSampleTracksAllocation(t *testing.T) {
 	reg := obs.NewRegistry()
 	Sample(reg)
