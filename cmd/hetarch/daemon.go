@@ -16,13 +16,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"hetarch/internal/core"
 	dsecache "hetarch/internal/dse/cache"
-	"hetarch/internal/experiments"
 	"hetarch/internal/jobs"
 	"hetarch/internal/jsonl"
 	"hetarch/internal/mc"
@@ -50,8 +48,8 @@ type daemonConfig struct {
 }
 
 // daemonMain is the `hetarch serve` subcommand: parse flags, install
-// signal handling, and run the daemon until SIGINT/SIGTERM.
-func daemonMain(args []string, stdout, stderr io.Writer) int {
+// signal handling on ctx, and run the daemon until SIGINT/SIGTERM.
+func daemonMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hetarch serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
@@ -67,7 +65,7 @@ func daemonMain(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.logFormat, "log-format", runlog.FormatText, "structured event-log format on stderr: text or json")
 	fs.StringVar(&cfg.ledgerDir, "ledger-dir", "", "append each job's envelope to the run ledger in `dir` (default $HETARCH_LEDGER_DIR, then ~/.hetarch; \"off\" disables)")
 	fs.StringVar(&cfg.cacheDir, "cache-dir", "", "persist standard-cell characterizations to `dir`, shared across jobs")
-	fs.IntVar(&cfg.pool, "pool", 0, "worker-goroutine budget jobs draw from (0 = NumCPU); a job weighs its resolved -workers")
+	fs.IntVar(&cfg.pool, "pool", 0, "worker-goroutine budget jobs draw from (0 = NumCPU); a job weighs and runs with its resolved workers, clamped to the pool")
 	fs.IntVar(&cfg.tenantJobs, "tenant-jobs", 0, "per-tenant running-job limit (0 = default 4)")
 	fs.IntVar(&cfg.maxQueue, "max-queue", 0, "reject submissions past `N` unfinished jobs (0 = default 1024)")
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +84,7 @@ func daemonMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hetarch: serve: -pool, -tenant-jobs and -max-queue must be >= 0")
 		return exitUsage
 	}
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	return daemonRun(ctx, cfg, stdout, stderr)
 }
@@ -94,7 +92,9 @@ func daemonMain(args []string, stdout, stderr io.Writer) int {
 // daemonRun is the daemon's lifetime: open the ledger and job manager,
 // start the HTTP server and dispatcher, then wait for ctx (the signal
 // context) and wind everything down. In-flight jobs checkpoint and stay
-// journaled as running, so the next start resumes them.
+// journaled as running, so the next start resumes them. Every job context
+// derives from ctx, so mc bindings on it (tests bind a fault injector)
+// reach every job.
 func daemonRun(ctx context.Context, cfg daemonConfig, stdout, stderr io.Writer) int {
 	daemonID := runlog.MintID(int64(os.Getpid()))
 	lg, err := runlog.New(stderr, cfg.logFormat, daemonID)
@@ -105,30 +105,15 @@ func daemonRun(ctx context.Context, cfg daemonConfig, stdout, stderr io.Writer) 
 	runlog.Set(lg)
 	defer runlog.Set(nil)
 
-	// Ledger resolution mirrors the one-shot CLI: explicit dir errors,
-	// broken default degrades to a warning.
-	var led *ledger.Ledger
+	led, err := openLedger(cfg.ledgerDir, lg)
+	if err != nil {
+		fmt.Fprintln(stderr, "hetarch: serve: ledger-dir:", err)
+		return exitError
+	}
 	var ledgerPath string
-	{
-		dir, enabled, explicit := cfg.ledgerDir, true, cfg.ledgerDir != ""
-		if !explicit {
-			dir, enabled = ledger.DefaultDir()
-		} else if dir == ledger.Off {
-			enabled = false
-		}
-		if !enabled {
-			lg.Info(runlog.EvLedgerDisabled)
-		} else if l, err := ledger.Open(dir); err != nil {
-			if explicit {
-				fmt.Fprintln(stderr, "hetarch: serve: ledger-dir:", err)
-				return exitError
-			}
-			lg.Warn(runlog.EvLedgerDisabled, "error", err.Error())
-		} else {
-			led = l
-			ledgerPath = l.Path()
-			defer led.Close()
-		}
+	if led != nil {
+		ledgerPath = led.Path()
+		defer led.Close()
 	}
 
 	// The shared characterization cache, when configured, serves every
@@ -164,9 +149,7 @@ func daemonRun(ctx context.Context, cfg daemonConfig, stdout, stderr io.Writer) 
 	}
 
 	// The job API rides the telemetry mux, so one address serves /jobs,
-	// /metrics, /runs, and /debug/pprof together. No span tracer: its
-	// roots would accumulate for the daemon's lifetime, and concurrent
-	// jobs would share its one current-span pointer, so /spans answers 503.
+	// /metrics, /runs, and /debug/pprof together.
 	rtPoller := runtimemetrics.Start(obs.Default, time.Second)
 	defer rtPoller.Stop()
 	srv, err := serve.Start(cfg.listen, serve.Options{
@@ -210,21 +193,15 @@ func daemonRun(ctx context.Context, cfg daemonConfig, stdout, stderr io.Writer) 
 }
 
 // daemonRunner builds the jobs.Runner that executes one experiment job:
-// per-job checkpoint under mc.WithCheckpoint (scoped, so concurrent jobs
-// never share run numbering), table output to a per-job artifact written
-// atomically, and a run-ledger envelope keyed by the job ID so
-// `hetarch runs show <jobID>` verifies the artifact digests.
+// per-job checkpoint metered and bound under mc.WithCheckpoint (scoped, so
+// concurrent jobs never share run numbering), table output to a per-job
+// artifact written atomically, and a run-ledger envelope keyed by the job
+// ID so `hetarch runs show <jobID>` verifies the artifact digests. The job
+// runs with the worker count the pool granted it (job.Spec.Workers).
 func daemonRunner(stderr io.Writer, led *ledger.Ledger, charStore core.CharacterizationStore) jobs.Runner {
 	return func(ctx context.Context, job jobs.Job, dir string, progress func(int64)) (jobs.Result, error) {
 		spec := job.Spec
-		sc := experiments.Full()
-		if spec.Scale == jobs.ScaleQuick {
-			sc = experiments.Quick()
-		}
-		if spec.Shots > 0 {
-			sc.Shots = spec.Shots
-		}
-		sc.Workers = spec.Workers
+		sc := scaleOf(spec)
 
 		// The per-job checkpoint is what makes a daemon restart resume
 		// rather than recompute: the job ID (not a fresh run ID) is the
@@ -236,8 +213,8 @@ func daemonRunner(stderr io.Writer, led *ledger.Ledger, charStore core.Character
 		if err != nil {
 			return jobs.Result{}, err
 		}
-		counting := &countingCheckpoint{cp: cp, progress: progress}
-		rctx := mc.WithCheckpoint(ctx, counting)
+		meter := &runMeter{cp: cp, progress: progress}
+		rctx := mc.WithCheckpoint(ctx, meter)
 
 		outName := "output.txt"
 		if spec.JSON {
@@ -269,7 +246,7 @@ func daemonRunner(stderr io.Writer, led *ledger.Ledger, charStore core.Character
 			// state and stays. Interrupted jobs get no ledger envelope —
 			// exactly one OK/error envelope per job, at its terminal run.
 			if !interrupted(ctx, runErr) {
-				appendJobEnvelope(stderr, led, job, ledger.StatusError, runErr, start, nil, counting)
+				appendJobEnvelope(stderr, led, job, ledger.StatusError, runErr, start, nil, meter)
 			}
 			return jobs.Result{}, runErr
 		}
@@ -277,9 +254,7 @@ func daemonRunner(stderr io.Writer, led *ledger.Ledger, charStore core.Character
 			return jobs.Result{}, err
 		}
 
-		res := jobs.Result{
-			Metrics: ledger.NewHeadline(counting.shots.Load(), counting.errs.Load(), time.Since(start).Seconds()),
-		}
+		res := jobs.Result{Metrics: meter.headline(time.Since(start).Seconds())}
 		for kind, path := range map[string]string{"output": outPath, "checkpoint": ckptPath} {
 			if _, err := os.Stat(path); err != nil {
 				continue // e.g. no checkpoint for non-Monte-Carlo experiments
@@ -290,7 +265,7 @@ func daemonRunner(stderr io.Writer, led *ledger.Ledger, charStore core.Character
 			}
 			res.Artifacts = append(res.Artifacts, a)
 		}
-		appendJobEnvelope(stderr, led, job, ledger.StatusOK, nil, start, res.Artifacts, counting)
+		appendJobEnvelope(stderr, led, job, ledger.StatusOK, nil, start, res.Artifacts, meter)
 		return res, nil
 	}
 }
@@ -300,67 +275,14 @@ func daemonRunner(stderr io.Writer, led *ledger.Ledger, charStore core.Character
 // digests `hetarch runs show` verifies. Ledger failures are reported but
 // never fail the job — provenance is results-neutral.
 func appendJobEnvelope(stderr io.Writer, led *ledger.Ledger, job jobs.Job, status string, runErr error,
-	start time.Time, artifacts []ledger.Artifact, counting *countingCheckpoint) {
+	start time.Time, artifacts []ledger.Artifact, meter *runMeter) {
 	if led == nil {
 		return
 	}
-	wall := time.Since(start).Seconds()
-	e := ledger.Envelope{
-		RunID:       job.ID,
-		Tool:        "hetarchd",
-		Experiment:  job.Spec.Experiment,
-		Scale:       job.Spec.Scale,
-		Seed:        job.Spec.Seed,
-		Shots:       job.Spec.Shots,
-		Workers:     mc.ResolveWorkers(job.Spec.Workers),
-		Args:        []string{"serve", "tenant:" + job.Tenant, "fingerprint:" + job.Fingerprint},
-		StartedAt:   start.UTC().Format(time.RFC3339),
-		EndedAt:     time.Now().UTC().Format(time.RFC3339),
-		WallSeconds: wall,
-		Status:      status,
-		Metrics:     ledger.NewHeadline(counting.shots.Load(), counting.errs.Load(), wall),
-		Artifacts:   artifacts,
-	}
-	if runErr != nil {
-		e.Error = runErr.Error()
-	}
+	e := newEnvelope("hetarchd", job.ID, job.Spec, start, status, runErr, meter)
+	e.Args = []string{"serve", "tenant:" + job.Tenant, "fingerprint:" + job.Fingerprint}
+	e.Artifacts = artifacts
 	if err := led.Append(e); err != nil {
 		fmt.Fprintln(stderr, "hetarch: serve: ledger:", err)
-	}
-}
-
-// countingCheckpoint wraps a job's checkpoint to meter its Monte Carlo
-// throughput: every shard — recorded fresh or skipped as a resume hit —
-// counts toward the job's shots/errors and feeds the SSE progress stream.
-// Counting never changes what is looked up or recorded, so resume
-// bit-identity is untouched.
-type countingCheckpoint struct {
-	cp       mc.Checkpoint
-	progress func(int64)
-	shots    atomic.Int64
-	errs     atomic.Int64
-}
-
-func (c *countingCheckpoint) Lookup(key mc.RunKey, sh mc.Shard) (mc.Tally, bool) {
-	t, ok := c.cp.Lookup(key, sh)
-	if ok {
-		c.count(t)
-	}
-	return t, ok
-}
-
-func (c *countingCheckpoint) Record(key mc.RunKey, sh mc.Shard, t mc.Tally) error {
-	err := c.cp.Record(key, sh, t)
-	if err == nil {
-		c.count(t)
-	}
-	return err
-}
-
-func (c *countingCheckpoint) count(t mc.Tally) {
-	c.shots.Add(t.Shots)
-	c.errs.Add(t.Errors)
-	if c.progress != nil {
-		c.progress(t.Shots)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"hetarch/internal/jobs"
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/chaos"
+	"hetarch/internal/obs/ledger"
 )
 
 // testDaemon is one in-process daemon life: daemonRun on its own
@@ -27,7 +29,9 @@ type testDaemon struct {
 	stopped bool
 }
 
-func startTestDaemon(t *testing.T, cfg daemonConfig) *testDaemon {
+// startTestDaemon runs daemonRun under a cancellable child of parent, so
+// mc bindings on parent (a fault injector) reach every job.
+func startTestDaemon(t *testing.T, parent context.Context, cfg daemonConfig) *testDaemon {
 	t.Helper()
 	if cfg.listen == "" {
 		cfg.listen = "127.0.0.1:0"
@@ -36,7 +40,7 @@ func startTestDaemon(t *testing.T, cfg daemonConfig) *testDaemon {
 		cfg.addrFile = filepath.Join(t.TempDir(), "addr")
 	}
 	os.Remove(cfg.addrFile)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(parent)
 	d := &testDaemon{cancel: cancel, done: make(chan int, 1), stderr: &bytes.Buffer{}}
 	var stdout bytes.Buffer
 	go func() { d.done <- daemonRun(ctx, cfg, &stdout, d.stderr) }()
@@ -153,7 +157,7 @@ func TestServeFlagValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if got := run(tc.args, &stdout, &stderr); got != exitUsage {
+			if got := run(context.Background(), tc.args, &stdout, &stderr); got != exitUsage {
 				t.Fatalf("run(%q) = %d, want %d", tc.args, got, exitUsage)
 			}
 			if !strings.Contains(stderr.String(), tc.errs) {
@@ -170,7 +174,7 @@ func TestServeFlagValidation(t *testing.T) {
 // verification.
 func TestDaemonSubmitDedupLedger(t *testing.T) {
 	ledgerDir := t.TempDir()
-	d := startTestDaemon(t, daemonConfig{
+	d := startTestDaemon(t, context.Background(), daemonConfig{
 		dataDir:   filepath.Join(t.TempDir(), "jobs"),
 		ledgerDir: ledgerDir,
 		logFormat: "text",
@@ -192,7 +196,7 @@ func TestDaemonSubmitDedupLedger(t *testing.T) {
 	// The daemon's artifact must be bit-identical to the one-shot CLI's
 	// stdout for the same spec.
 	var want, discard bytes.Buffer
-	if code := run([]string{"fig9", "-quick", "-shots", "512", "-seed", "9", "-workers", "1"}, &want, &discard); code != exitOK {
+	if code := run(context.Background(), []string{"fig9", "-quick", "-shots", "512", "-seed", "9", "-workers", "1"}, &want, &discard); code != exitOK {
 		t.Fatalf("direct run exited %d: %s", code, discard.String())
 	}
 	if got := d.fetchOutput(t, j.ID); got != want.String() {
@@ -228,6 +232,22 @@ func TestDaemonSubmitDedupLedger(t *testing.T) {
 	if strings.Contains(out.String(), "MISMATCH") || strings.Contains(out.String(), "MISSING") {
 		t.Fatalf("artifact digests failed verification:\n%s", out.String())
 	}
+	// The job's envelope comes from the CLI's constructor: it names the
+	// build that ran the job, and the workers the job ran with.
+	lg, err := ledger.ReadFile(filepath.Join(ledgerDir, ledger.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := lg.Find(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.GoVersion != runtime.Version() {
+		t.Fatalf("job envelope go_version = %q, want %q", env.GoVersion, runtime.Version())
+	}
+	if env.Workers != 1 || env.Metrics == nil || env.Metrics.Shots != done.Metrics.Shots {
+		t.Fatalf("job envelope workers %d, metrics %+v; want 1 worker and the job's %d shots", env.Workers, env.Metrics, done.Metrics.Shots)
+	}
 
 	// The jobs listing and the telemetry index coexist on one mux.
 	resp2, err := http.Get(d.url("/jobs"))
@@ -245,15 +265,14 @@ func TestDaemonSubmitDedupLedger(t *testing.T) {
 		t.Fatalf("GET /jobs returned %d jobs, want 1", len(list.Jobs))
 	}
 
-	// The daemon arms no span tracer, so finished jobs leave no span
-	// roots behind: /spans is unavailable.
+	// The span tree is gone: /spans is an unknown path.
 	resp3, err := http.Get(d.url("/spans"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("GET /spans = %d, want 503", resp3.StatusCode)
+	if resp3.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /spans = %d, want 404", resp3.StatusCode)
 	}
 }
 
@@ -273,8 +292,8 @@ func TestDaemonRestartResumeBitIdentical(t *testing.T) {
 
 	// Per-shard latency keeps the sweep in flight long enough for the
 	// kill to land mid-job, deterministically.
-	mc.SetFaultInjector(chaos.New(1).WithLatency(2 * time.Millisecond))
-	d1 := startTestDaemon(t, cfg)
+	slow := mc.WithFaultInjector(context.Background(), chaos.New(1).WithLatency(2*time.Millisecond))
+	d1 := startTestDaemon(t, slow, cfg)
 
 	spec := jobs.Spec{Experiment: "fig9", Scale: "quick", Seed: 11, Shots: 512, Workers: 1}
 	j, code := d1.submit(t, jobs.SubmitRequest{Spec: spec, Tenant: "alice"})
@@ -297,7 +316,6 @@ func TestDaemonRestartResumeBitIdentical(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	d1.stop(t)
-	mc.SetFaultInjector(nil)
 
 	ckpt := filepath.Join(dataDir, j.ID, "checkpoint.jsonl")
 	if st, err := os.Stat(ckpt); err != nil || st.Size() == 0 {
@@ -306,7 +324,7 @@ func TestDaemonRestartResumeBitIdentical(t *testing.T) {
 
 	// Second life over the same data dir: the job must come back and
 	// finish without a fresh submission.
-	d2 := startTestDaemon(t, cfg)
+	d2 := startTestDaemon(t, context.Background(), cfg)
 	recovered := d2.getJob(t, j.ID)
 	if recovered.State != jobs.StateQueued && recovered.State != jobs.StateRunning && recovered.State != jobs.StateDone {
 		t.Fatalf("recovered job state = %q, want it re-enqueued", recovered.State)
@@ -314,7 +332,7 @@ func TestDaemonRestartResumeBitIdentical(t *testing.T) {
 	d2.waitJob(t, j.ID, jobs.StateDone, 2*time.Minute)
 
 	var want, discard bytes.Buffer
-	if code := run([]string{"fig9", "-quick", "-shots", "512", "-seed", "11", "-workers", "1"}, &want, &discard); code != exitOK {
+	if code := run(context.Background(), []string{"fig9", "-quick", "-shots", "512", "-seed", "11", "-workers", "1"}, &want, &discard); code != exitOK {
 		t.Fatalf("direct run exited %d: %s", code, discard.String())
 	}
 	if got := d2.fetchOutput(t, j.ID); got != want.String() {
@@ -325,9 +343,8 @@ func TestDaemonRestartResumeBitIdentical(t *testing.T) {
 // TestDaemonCancelRunningJob covers DELETE on a running job: terminal
 // state cancelled, spec resubmittable.
 func TestDaemonCancelRunningJob(t *testing.T) {
-	mc.SetFaultInjector(chaos.New(1).WithLatency(2 * time.Millisecond))
-	defer mc.SetFaultInjector(nil)
-	d := startTestDaemon(t, daemonConfig{
+	slow := mc.WithFaultInjector(context.Background(), chaos.New(1).WithLatency(2*time.Millisecond))
+	d := startTestDaemon(t, slow, daemonConfig{
 		dataDir:   filepath.Join(t.TempDir(), "jobs"),
 		ledgerDir: "off",
 		logFormat: "text",
@@ -370,7 +387,7 @@ func TestDaemonCancelRunningJob(t *testing.T) {
 // TestDaemonSSEStreamsTerminalState subscribes to a job's event stream and
 // expects at least the terminal state frame before the stream closes.
 func TestDaemonSSEStreamsTerminalState(t *testing.T) {
-	d := startTestDaemon(t, daemonConfig{
+	d := startTestDaemon(t, context.Background(), daemonConfig{
 		dataDir:   filepath.Join(t.TempDir(), "jobs"),
 		ledgerDir: "off",
 		logFormat: "text",

@@ -29,21 +29,22 @@
 // default, one JSON object per line under -log-format json.
 //
 // -listen serves live telemetry over HTTP while the run is in flight:
-// /metrics (Prometheus text), /progress (JSON, or SSE with ?sse=1), /spans
-// (span tree), /trace (flight-profiler download) and /debug/pprof. -record
-// journals the run to a JSONL flight-recorder artifact (config, seeds, git
-// revision, per-batch counts, final metrics) that cmd/obsdiff can diff
-// against a baseline.
+// /metrics (Prometheus text), /progress (JSON, or SSE with ?sse=1), /trace
+// (flight-profiler download), /runs and /debug/pprof. -record journals the
+// run to a JSONL flight-recorder artifact (config, seeds, git revision,
+// per-batch counts, final metrics) that cmd/obsdiff can diff against a
+// baseline.
 //
 // -trace-out arms the engine flight profiler: Monte Carlo shard phases
 // (queue wait, execution, sample/decode sub-phases, merge) and DSE point
 // evaluations are recorded on per-worker lanes — deterministically sampled
 // 1-in-N by shard/point index (-trace-sample, default 8, 1 = everything) so
-// tracing cannot perturb results — and written as Chrome Trace Event JSON,
-// which opens directly in Perfetto (https://ui.perfetto.dev) or
-// chrome://tracing. Any telemetry flag (-metrics, -listen, -record,
-// -trace-out) also polls runtime/metrics (heap, GC pauses, goroutines,
-// scheduling latency) into runtime.* gauges.
+// tracing cannot perturb results — next to unsampled wall-time events for
+// each experiment and table row on a "run" track, and written as Chrome
+// Trace Event JSON, which opens directly in Perfetto
+// (https://ui.perfetto.dev) or chrome://tracing. Any telemetry flag
+// (-metrics, -listen, -record, -trace-out) also polls runtime/metrics
+// (heap, GC pauses, goroutines, scheduling latency) into runtime.* gauges.
 //
 // -cpuprofile conflicts with -listen (the live /debug/pprof/profile
 // endpoint would double-start the CPU profile); use one or the other.
@@ -68,9 +69,13 @@
 // running jobs from their checkpoints), and stamped into the run ledger.
 // See API.md for the wire contract and daemon.go for the architecture.
 //
+// Every run keeps one shot tally: the Monte Carlo shards it accounts for,
+// executed or replayed from -checkpoint, feed the -progress heartbeat, the
+// recorder batches, the ledger headline and the run.done event alike.
+//
 // Experiment results go to stdout; everything else — timing lines, the
-// -progress heartbeat, and the -metrics telemetry (counter snapshot plus
-// span tree) — goes to stderr, so `-json` output stays machine-parseable.
+// -progress heartbeat, and the -metrics telemetry (the metric registry
+// snapshot) — goes to stderr, so `-json` output stays machine-parseable.
 package main
 
 import (
@@ -94,6 +99,7 @@ import (
 	"hetarch/internal/core"
 	dsecache "hetarch/internal/dse/cache"
 	"hetarch/internal/experiments"
+	"hetarch/internal/jobs"
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/checkpoint"
 	"hetarch/internal/obs"
@@ -115,10 +121,13 @@ const (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// run is one invocation. ctx is the run's parent scope: cancellation and
+// any mc binding it carries (tests bind a fault injector) reach every
+// Monte Carlo run of the invocation.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hetarch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() { usage(fs, stderr) }
@@ -127,9 +136,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shots := fs.Int("shots", 0, "override Monte Carlo shots per point (0 = scale default)")
 	workers := fs.Int("workers", 0, "Monte Carlo worker goroutines (0 = NumCPU, 1 = serial; results are identical at any setting)")
 	asJSON := fs.Bool("json", false, "emit table experiments as JSON (for plotting scripts)")
-	metrics := fs.Bool("metrics", false, "print telemetry (counter snapshot + span tree) to stderr after the run")
+	metrics := fs.Bool("metrics", false, "print telemetry (the metric registry snapshot) to stderr after the run")
 	progress := fs.Bool("progress", false, "heartbeat on stderr with shots/sec and ETA")
-	listen := fs.String("listen", "", "serve live telemetry over HTTP on `addr` (/metrics, /progress, /spans, /trace, /debug/pprof)")
+	listen := fs.String("listen", "", "serve live telemetry over HTTP on `addr` (/metrics, /progress, /trace, /runs, /debug/pprof)")
 	record := fs.String("record", "", "journal the run to a JSONL flight-recorder artifact at `file`")
 	ckptPath := fs.String("checkpoint", "", "persist completed Monte Carlo shards to `file`; rerunning with the same flags resumes")
 	cacheDir := fs.String("cache-dir", "", "persist standard-cell characterizations to `dir`; warm runs of dse/cells skip density-matrix simulation")
@@ -150,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runsMain(args[1:], stdout, stderr)
 	}
 	if name == "serve" {
-		return daemonMain(args[1:], stdout, stderr)
+		return daemonMain(ctx, args[1:], stdout, stderr)
 	}
 	if strings.HasPrefix(name, "-") {
 		fmt.Fprintf(stderr, "hetarch: first argument must be the experiment name, got flag %q\n", name)
@@ -220,23 +229,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	sc := experiments.Full()
-	scaleName := "full"
+	spec := jobs.Spec{Experiment: name, Scale: jobs.ScaleFull, Seed: *seed, Shots: *shots, Workers: *workers}
 	if *quick {
-		sc = experiments.Quick()
-		scaleName = "quick"
+		spec.Scale = jobs.ScaleQuick
 	}
-	if *shots > 0 {
-		sc.Shots = *shots
-	}
-	sc.Workers = *workers
+	sc := scaleOf(spec)
 
 	// Run identity: a deterministic-format ULID (mint time + entropy from
 	// -seed) stamped into every event, artifact, and the ledger envelope.
-	// The header doubles as the build/host fact sheet for both the recorder
-	// artifact and the envelope.
+	// The header is the recorder artifact's build/host fact sheet.
 	runID := runlog.MintID(*seed)
-	hdr := recorder.NewHeader("hetarch", name, scaleName, *seed, mc.ResolveWorkers(*workers), args)
+	hdr := recorder.NewHeader("hetarch", name, spec.Scale, *seed, mc.ResolveWorkers(*workers), args)
 	hdr.RunID = runID
 	lg, err := runlog.New(stderr, *logFormat, runID)
 	if err != nil {
@@ -245,43 +248,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	runlog.Set(lg)
 	defer runlog.Set(nil)
-	lg.Info(runlog.EvRunStart, "experiment", name, "scale", scaleName,
+	lg.Info(runlog.EvRunStart, "experiment", name, "scale", spec.Scale,
 		"seed", *seed, "workers", hdr.Workers, "git_revision", hdr.GitRevision, "git_dirty", hdr.GitDirty)
 
-	// The run ledger is on by default (~/.hetarch, overridable via
-	// HETARCH_LEDGER_DIR or -ledger-dir; "off" disables). A broken default
-	// location degrades to a warning — provenance must never fail a run the
-	// user did not explicitly ask to journal — but an explicit -ledger-dir
-	// that cannot be opened is an error.
-	var led *ledger.Ledger
+	led, err := openLedger(*ledgerDir, lg)
+	if err != nil {
+		fmt.Fprintln(stderr, "hetarch: ledger-dir:", err)
+		return exitError
+	}
 	var ledgerPath string
-	{
-		dir, enabled, explicit := *ledgerDir, true, *ledgerDir != ""
-		if !explicit {
-			dir, enabled = ledger.DefaultDir()
-		} else if dir == ledger.Off {
-			enabled = false
-		}
-		if !enabled {
-			lg.Info(runlog.EvLedgerDisabled)
-		} else if l, err := ledger.Open(dir); err != nil {
-			if explicit {
-				fmt.Fprintln(stderr, "hetarch: ledger-dir:", err)
-				return exitError
-			}
-			lg.Warn(runlog.EvLedgerDisabled, "error", err.Error())
-		} else {
-			led = l
-			ledgerPath = l.Path()
-			defer led.Close()
-		}
+	if led != nil {
+		ledgerPath = led.Path()
+		defer led.Close()
 	}
 
 	// SIGINT/SIGTERM cancel the run context: the mc engine stops dispatching
 	// shards, in-flight shards finish (and checkpoint), and the run winds
 	// down through the same path as a normal exit — recorder flushed, server
 	// drained, heartbeat stopped.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	// The whole-run deadline rides the same cancellation path as a signal:
 	// shards stop dispatching, the checkpoint flushes, and the run exits
@@ -305,9 +290,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *metrics || *listen != "" {
-		obs.DefaultTracer.SetEnabled(true)
-	}
 	// The flight profiler records into a fresh buffer per run. -listen arms
 	// it too, so the /trace endpoint serves live data; sampling is by
 	// shard/point index, so an armed profiler never changes results.
@@ -325,6 +307,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rtPoller = runtimemetrics.Start(obs.Default, time.Second)
 		defer rtPoller.Stop()
 	}
+	// The run's one shot tally. It is bound under mc.WithCheckpoint below,
+	// wrapping the -checkpoint store when there is one.
+	meter := &runMeter{}
+
 	// The heartbeat also feeds /progress, so a listen-only run keeps it
 	// ticking silently. Stop is idempotent: the deferred call guards every
 	// early error return, the explicit one below sequences the final summary
@@ -335,14 +321,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *progress {
 			hbOut = stderr
 		}
-		hb = obs.StartHeartbeat(hbOut, 2*time.Second, approxTotal(name, sc), totalShots)
+		hb = obs.StartHeartbeat(hbOut, 2*time.Second, experiments.ApproxShots(name, sc), meter.shots.Load)
 		defer hb.Stop()
 	}
 
 	if *listen != "" {
 		srv, err := serve.Start(*listen, serve.Options{
 			Registry:   obs.Default,
-			Tracer:     obs.DefaultTracer,
 			Heartbeat:  hb,
 			Trace:      trace.Default,
 			LedgerPath: ledgerPath,
@@ -359,7 +344,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			srv.Shutdown(sctx)
 		}()
 		lg.Info(runlog.EvTelemetryListen, "url", "http://"+srv.Addr()+"/",
-			"endpoints", "metrics,progress,spans,trace,runs,debug/pprof")
+			"endpoints", "metrics,progress,trace,runs,debug/pprof")
 	}
 
 	// resumedFrom is the interrupted run whose checkpoint this run adopted
@@ -368,7 +353,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// numbered across every experiment in it.
 	resumedFrom := ""
 	if *ckptPath != "" {
-		meta := checkpoint.NewMeta("hetarch", name, scaleName, *seed, *shots)
+		meta := checkpoint.NewMeta("hetarch", name, spec.Scale, *seed, *shots)
 		meta.RunID = runID
 		cp, err := checkpoint.Open(*ckptPath, meta)
 		if err != nil {
@@ -383,8 +368,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				"shards_done", n, "from_run", resumedFrom)
 		}
 		defer cp.Close()
-		ctx = mc.WithCheckpoint(ctx, cp)
+		meter.cp = cp
 	}
+	ctx = mc.WithCheckpoint(ctx, meter)
 
 	// The persistent characterization cache is an optional store; without
 	// -cache-dir the characterization-heavy runners keep their historical
@@ -425,7 +411,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runners := buildRunners(ctx, sc, *seed, *workers, stdout, stderr, emit, charStore)
 
 	runStart := time.Now()
-	shotsBase, errsBase := totalShots(), totalErrors()
 
 	// appendLedger writes the run's envelope once the outcome is known. It
 	// runs after the recorder is finalized and the trace file is written, so
@@ -436,29 +421,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if led == nil {
 			return
 		}
-		wall := time.Since(runStart).Seconds()
-		e := ledger.Envelope{
-			RunID:       runID,
-			Tool:        "hetarch",
-			Experiment:  name,
-			Scale:       scaleName,
-			Seed:        *seed,
-			Shots:       *shots,
-			Workers:     hdr.Workers,
-			Args:        args,
-			GoVersion:   hdr.GoVersion,
-			GitRevision: hdr.GitRevision,
-			GitDirty:    hdr.GitDirty,
-			StartedAt:   hdr.StartedAt,
-			EndedAt:     time.Now().UTC().Format(time.RFC3339),
-			WallSeconds: wall,
-			Status:      status,
-			ResumedFrom: resumedFrom,
-			Metrics:     ledger.NewHeadline(totalShots()-shotsBase, totalErrors()-errsBase, wall),
-		}
-		if runErr != nil {
-			e.Error = runErr.Error()
-		}
+		e := newEnvelope("hetarch", runID, spec, runStart, status, runErr, meter)
+		e.Args = args
+		e.ResumedFrom = resumedFrom
 		add := func(kind, path, key string) {
 			if path == "" {
 				return
@@ -485,18 +450,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	runOne := func(n string) error {
-		sp := obs.Span(n)
-		defer sp.End()
+		defer trace.Span("run", "run.experiment", n)()
 		start := time.Now()
-		shots0, errs0 := totalShots(), totalErrors()
+		shots0, errs0 := meter.shots.Load(), meter.errs.Load()
 		err := runners[n]()
 		if rec != nil {
+			total := meter.shots.Load()
 			batch := recorder.Batch{
 				Name:        n,
 				WallSeconds: time.Since(start).Seconds(),
-				Shots:       totalShots() - shots0,
-				Errors:      totalErrors() - errs0,
-				TotalShots:  totalShots(),
+				Shots:       total - shots0,
+				Errors:      meter.errs.Load() - errs0,
+				TotalShots:  total,
 			}
 			if werr := rec.WriteBatch(batch); werr != nil && err == nil {
 				err = fmt.Errorf("record: %w", werr)
@@ -571,7 +536,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	appendLedger(ledger.StatusOK, nil)
 	lg.Info(runlog.EvRunDone, "status", ledger.StatusOK,
-		"wall_seconds", time.Since(runStart).Seconds(), "shots", totalShots()-shotsBase)
+		"wall_seconds", time.Since(runStart).Seconds(), "shots", meter.shots.Load())
 
 	if *metrics {
 		if err := emitTelemetry(stderr, *asJSON); err != nil {
@@ -622,46 +587,20 @@ func interrupted(ctx context.Context, err error) bool {
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// totalShots aggregates every logical-shot counter (surface.shots,
-// uec.shots, uec.memory.shots, ...) for the progress heartbeat.
-func totalShots() int64 {
-	return obs.Default.Snapshot().SumCounters(func(name string) bool {
-		return strings.HasSuffix(name, ".shots")
-	})
-}
-
-// totalErrors aggregates every logical-error counter for the flight
-// recorder's per-batch error deltas.
-func totalErrors() int64 {
-	return obs.Default.Snapshot().SumCounters(func(name string) bool {
-		return strings.HasSuffix(name, ".logical_errors")
-	})
-}
-
-// approxTotal estimates the experiment's total shots for the heartbeat ETA
-// ("all" and the non-shot-shaped runners report rate only).
-func approxTotal(name string, sc experiments.Scale) int64 {
-	return experiments.ApproxShots(name, sc)
-}
-
-// telemetry is the JSON shape emitted by -metrics under -json.
-type telemetry struct {
-	Metrics obs.Snapshot     `json:"metrics"`
-	Spans   []*obs.TraceSpan `json:"spans"`
-}
-
-// emitTelemetry renders the metric snapshot and span tree: an aligned text
-// table normally, a single JSON object when the run itself is JSON.
+// emitTelemetry renders the metric snapshot: an aligned text table
+// normally, a single JSON object ({"metrics": ...}) when the run itself is
+// JSON.
 func emitTelemetry(w io.Writer, asJSON bool) error {
 	snap := obs.Default.Snapshot()
 	if asJSON {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(telemetry{Metrics: snap, Spans: obs.DefaultTracer.Roots()})
+		return enc.Encode(struct {
+			Metrics obs.Snapshot `json:"metrics"`
+		}{snap})
 	}
 	fmt.Fprintln(w, "== telemetry ==")
 	snap.WriteTable(w)
-	obs.DefaultTracer.Render(w)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"hetarch/internal/mc/chaos"
 	"hetarch/internal/obs"
 	"hetarch/internal/obs/ledger"
+	"hetarch/internal/obs/recorder"
 )
 
 // TestMain points the default run-ledger location at a throwaway directory:
@@ -57,7 +59,7 @@ func TestRunFlagValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			got := run(tc.args, &stdout, &stderr)
+			got := run(context.Background(), tc.args, &stdout, &stderr)
 			if got != tc.want {
 				t.Fatalf("run(%q) = %d, want %d (stderr: %s)", tc.args, got, tc.want, stderr.String())
 			}
@@ -82,7 +84,7 @@ func TestChaosCLIInterruptResumeBitIdentical(t *testing.T) {
 
 	// Reference: same flags, no checkpoint file, never interrupted.
 	var want, discard bytes.Buffer
-	if code := run([]string{"fig9", "-quick", "-shots", "512", "-seed", "7"}, &want, &discard); code != exitOK {
+	if code := run(context.Background(), []string{"fig9", "-quick", "-shots", "512", "-seed", "7"}, &want, &discard); code != exitOK {
 		t.Fatalf("reference run exited %d: %s", code, discard.String())
 	}
 
@@ -93,10 +95,8 @@ func TestChaosCLIInterruptResumeBitIdentical(t *testing.T) {
 	in := chaos.New(1).WithLatency(2*time.Millisecond).CancelAfter(10, func() {
 		syscall.Kill(syscall.Getpid(), syscall.SIGINT)
 	})
-	mc.SetFaultInjector(in)
 	var out1, err1 bytes.Buffer
-	code := run(argv, &out1, &err1)
-	mc.SetFaultInjector(nil)
+	code := run(mc.WithFaultInjector(context.Background(), in), argv, &out1, &err1)
 	if code != exitInterrupted {
 		t.Fatalf("interrupted run exited %d, want %d (stderr: %s)", code, exitInterrupted, err1.String())
 	}
@@ -106,7 +106,7 @@ func TestChaosCLIInterruptResumeBitIdentical(t *testing.T) {
 
 	// Second attempt: same argv, no chaos. Must resume and finish clean.
 	var out2, err2 bytes.Buffer
-	if code := run(argv, &out2, &err2); code != exitOK {
+	if code := run(context.Background(), argv, &out2, &err2); code != exitOK {
 		t.Fatalf("resume run exited %d: %s", code, err2.String())
 	}
 	if !strings.Contains(err2.String(), "run.checkpoint_resume") || !strings.Contains(err2.String(), "experiment=fig9") {
@@ -132,7 +132,7 @@ func TestChaosCLIAllResumeBitIdentical(t *testing.T) {
 	argv := append([]string{"all", "-checkpoint", ckpt}, flags...)
 
 	var want, discard bytes.Buffer
-	if code := run(append([]string{"all"}, flags...), &want, &discard); code != exitOK {
+	if code := run(context.Background(), append([]string{"all"}, flags...), &want, &discard); code != exitOK {
 		t.Fatalf("reference run exited %d: %s", code, discard.String())
 	}
 
@@ -142,16 +142,14 @@ func TestChaosCLIAllResumeBitIdentical(t *testing.T) {
 	in := chaos.New(1).WithLatency(2*time.Millisecond).CancelAfter(cutShards, func() {
 		syscall.Kill(syscall.Getpid(), syscall.SIGINT)
 	})
-	mc.SetFaultInjector(in)
 	var out1, err1 bytes.Buffer
-	code := run(argv, &out1, &err1)
-	mc.SetFaultInjector(nil)
+	code := run(mc.WithFaultInjector(context.Background(), in), argv, &out1, &err1)
 	if code != exitInterrupted {
 		t.Fatalf("interrupted run exited %d, want %d (stderr: %s)", code, exitInterrupted, err1.String())
 	}
 
 	var out2, err2 bytes.Buffer
-	if code := run(argv, &out2, &err2); code != exitOK {
+	if code := run(context.Background(), argv, &out2, &err2); code != exitOK {
 		t.Fatalf("resume run exited %d: %s", code, err2.String())
 	}
 	m := regexp.MustCompile(`run\.checkpoint_resume .*shards_done=(\d+)`).FindStringSubmatch(err2.String())
@@ -176,15 +174,14 @@ func TestTimeoutDeadlineInterrupts(t *testing.T) {
 	argv := []string{"fig9", "-quick", "-shots", "512", "-seed", "7", "-checkpoint", ckpt, "-ledger-dir", "off"}
 
 	var want, discard bytes.Buffer
-	if code := run([]string{"fig9", "-quick", "-shots", "512", "-seed", "7", "-ledger-dir", "off"}, &want, &discard); code != exitOK {
+	if code := run(context.Background(), []string{"fig9", "-quick", "-shots", "512", "-seed", "7", "-ledger-dir", "off"}, &want, &discard); code != exitOK {
 		t.Fatalf("reference run exited %d: %s", code, discard.String())
 	}
 
 	// Per-shard latency keeps the sweep in flight well past the deadline.
-	mc.SetFaultInjector(chaos.New(1).WithLatency(5 * time.Millisecond))
+	slow := mc.WithFaultInjector(context.Background(), chaos.New(1).WithLatency(5*time.Millisecond))
 	var out1, err1 bytes.Buffer
-	code := run(append(append([]string{}, argv...), "-timeout", "100ms"), &out1, &err1)
-	mc.SetFaultInjector(nil)
+	code := run(slow, append(append([]string{}, argv...), "-timeout", "100ms"), &out1, &err1)
 	if code != exitInterrupted {
 		t.Fatalf("timed-out run exited %d, want %d (stderr: %s)", code, exitInterrupted, err1.String())
 	}
@@ -193,7 +190,7 @@ func TestTimeoutDeadlineInterrupts(t *testing.T) {
 	}
 
 	var out2, err2 bytes.Buffer
-	if code := run(argv, &out2, &err2); code != exitOK {
+	if code := run(context.Background(), argv, &out2, &err2); code != exitOK {
 		t.Fatalf("resume run exited %d: %s", code, err2.String())
 	}
 	if !strings.Contains(err2.String(), "run.checkpoint_resume") {
@@ -202,6 +199,57 @@ func TestTimeoutDeadlineInterrupts(t *testing.T) {
 	if out2.String() != want.String() {
 		t.Fatalf("resumed output differs from undisturbed run:\n-- resumed --\n%s\n-- reference --\n%s",
 			out2.String(), want.String())
+	}
+}
+
+// TestReplayedRunKeepsShotTally: a run over an already complete checkpoint
+// replays every shard instead of executing it, and must still account for
+// the same shots and logical errors as the fresh run in its ledger
+// headline, its recorder batch and its run.done event.
+func TestReplayedRunKeepsShotTally(t *testing.T) {
+	dir := t.TempDir()
+	ledgerDir := filepath.Join(dir, "ledger")
+	ckpt := filepath.Join(dir, "ck.jsonl")
+	doneShots := regexp.MustCompile(`msg=run\.done .*shots=(\d+)`)
+	type tally struct{ ledgerShots, ledgerErrs, batchShots, batchErrs, doneShots int64 }
+	runOnce := func(record string) tally {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		argv := []string{"fig9", "-quick", "-seed", "7", "-shots", "512", "-checkpoint", ckpt,
+			"-record", record, "-ledger-dir", ledgerDir}
+		if code := run(context.Background(), argv, &stdout, &stderr); code != exitOK {
+			t.Fatalf("run exited %d: %s", code, stderr.String())
+		}
+		lg, err := ledger.ReadFile(filepath.Join(ledgerDir, ledger.FileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := lg.Envelopes[len(lg.Envelopes)-1]
+		f, err := os.Open(record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		rec, err := recorder.Read(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Batches) != 1 {
+			t.Fatalf("recorder has %d batches, want 1", len(rec.Batches))
+		}
+		m := doneShots.FindStringSubmatch(stderr.String())
+		if m == nil {
+			t.Fatalf("no run.done event with shots: %s", stderr.String())
+		}
+		n, _ := strconv.ParseInt(m[1], 10, 64)
+		return tally{env.Metrics.Shots, env.Metrics.LogicalErrors, rec.Batches[0].Shots, rec.Batches[0].Errors, n}
+	}
+	fresh := runOnce(filepath.Join(dir, "fresh.jsonl"))
+	if fresh.ledgerShots == 0 || fresh.ledgerShots != fresh.batchShots || fresh.ledgerShots != fresh.doneShots {
+		t.Fatalf("fresh run tallies disagree: %+v", fresh)
+	}
+	if replayed := runOnce(filepath.Join(dir, "replayed.jsonl")); replayed != fresh {
+		t.Fatalf("replayed run tally %+v, want the fresh run's %+v", replayed, fresh)
 	}
 }
 
@@ -291,7 +339,7 @@ func TestTraceOutEndToEnd(t *testing.T) {
 	runOK := func(args ...string) string {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != exitOK {
+		if code := run(context.Background(), args, &stdout, &stderr); code != exitOK {
 			t.Fatalf("run(%q) exited %d: %s", args, code, stderr.String())
 		}
 		return stdout.String()
@@ -343,6 +391,66 @@ func TestTraceOutEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTraceOutRunTrack: the experiment and its table rows are unsampled
+// complete events on the trace's "run" track: one run.experiment event for
+// fig9, and one run.row event per code, each inside the experiment's
+// interval, however sparse the shard sampling.
+func TestTraceOutRunTrack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig9.json")
+	var stdout, stderr bytes.Buffer
+	argv := []string{"fig9", "-quick", "-shots", "512", "-seed", "7", "-trace-out", path, "-trace-sample", "1000000"}
+	if code := run(context.Background(), argv, &stdout, &stderr); code != exitOK {
+		t.Fatalf("run exited %d: %s", code, stderr.String())
+	}
+	loadChromeTrace(t, path) // schema check
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr chromeFile
+	if err := json.Unmarshal(b, &tr); err != nil {
+		t.Fatal(err)
+	}
+	runPID := -1.0
+	for _, ev := range tr.TraceEvents {
+		if args, _ := ev["args"].(map[string]any); ev["name"] == "process_name" && args["name"] == "run" {
+			runPID = ev["pid"].(float64)
+		}
+	}
+	if runPID < 0 {
+		t.Fatal("trace has no run track")
+	}
+	type span struct {
+		name    string
+		ts, end float64
+	}
+	var exps, rows []span
+	for _, ev := range tr.TraceEvents {
+		if ev["ph"] != "X" || ev["pid"] != runPID {
+			continue
+		}
+		ts, dur := ev["ts"].(float64), ev["dur"].(float64)
+		sp := span{ev["name"].(string), ts, ts + dur}
+		switch ev["cat"] {
+		case "run.experiment":
+			exps = append(exps, sp)
+		case "run.row":
+			rows = append(rows, sp)
+		}
+	}
+	if len(exps) != 1 || exps[0].name != "fig9" {
+		t.Fatalf("run track experiment events %+v, want one for fig9", exps)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("run track has %d row events, want 5 (one per code): %+v", len(rows), rows)
+	}
+	for _, r := range rows {
+		if r.ts < exps[0].ts || r.end > exps[0].end {
+			t.Fatalf("row %q [%v,%v] lies outside fig9 [%v,%v]", r.name, r.ts, r.end, exps[0].ts, exps[0].end)
+		}
+	}
+}
+
 func dseCacheCounters() (hits, misses, writes int64) {
 	s := obs.Default.Snapshot()
 	return s.Counter("dse.cache_hits"), s.Counter("dse.cache_misses"), s.Counter("dse.cache_writes")
@@ -358,7 +466,7 @@ func TestDSEColdWarmBitIdentical(t *testing.T) {
 
 	_, _, w0 := dseCacheCounters()
 	var cold, coldErr bytes.Buffer
-	if code := run(argv, &cold, &coldErr); code != exitOK {
+	if code := run(context.Background(), argv, &cold, &coldErr); code != exitOK {
 		t.Fatalf("cold run exited %d: %s", code, coldErr.String())
 	}
 	_, _, w1 := dseCacheCounters()
@@ -368,7 +476,7 @@ func TestDSEColdWarmBitIdentical(t *testing.T) {
 
 	h0, _, _ := dseCacheCounters()
 	var warm, warmErr bytes.Buffer
-	if code := run(argv, &warm, &warmErr); code != exitOK {
+	if code := run(context.Background(), argv, &warm, &warmErr); code != exitOK {
 		t.Fatalf("warm run exited %d: %s", code, warmErr.String())
 	}
 	h1, _, w2 := dseCacheCounters()
@@ -393,7 +501,7 @@ func TestDSEWorkerCountInvariant(t *testing.T) {
 	runArgs := func(args ...string) string {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != exitOK {
+		if code := run(context.Background(), args, &stdout, &stderr); code != exitOK {
 			t.Fatalf("run(%q) exited %d: %s", args, code, stderr.String())
 		}
 		return stdout.String()
@@ -416,14 +524,14 @@ func TestDSEWorkerCountInvariant(t *testing.T) {
 func TestCellsCacheBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	var direct, cold, warm, stderr bytes.Buffer
-	if code := run([]string{"cells"}, &direct, &stderr); code != exitOK {
+	if code := run(context.Background(), []string{"cells"}, &direct, &stderr); code != exitOK {
 		t.Fatalf("direct run exited %d: %s", code, stderr.String())
 	}
-	if code := run([]string{"cells", "-cache-dir", dir}, &cold, &stderr); code != exitOK {
+	if code := run(context.Background(), []string{"cells", "-cache-dir", dir}, &cold, &stderr); code != exitOK {
 		t.Fatalf("cold run exited %d: %s", code, stderr.String())
 	}
 	h0, _, _ := dseCacheCounters()
-	if code := run([]string{"cells", "-cache-dir", dir}, &warm, &stderr); code != exitOK {
+	if code := run(context.Background(), []string{"cells", "-cache-dir", dir}, &warm, &stderr); code != exitOK {
 		t.Fatalf("warm run exited %d: %s", code, stderr.String())
 	}
 	h1, _, _ := dseCacheCounters()

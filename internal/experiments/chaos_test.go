@@ -37,9 +37,7 @@ func TestChaosFig9InterruptResumeBitIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(5).CancelAfter(37, cancel)
-	mc.SetFaultInjector(in)
-	_, err = Fig9(mc.WithCheckpoint(ctx, cp), sc, seed)
-	mc.SetFaultInjector(nil)
+	_, err = Fig9(mc.WithCheckpoint(mc.WithFaultInjector(ctx, in), cp), sc, seed)
 	cancel()
 	cp.Close()
 	if !errors.Is(err, context.Canceled) {

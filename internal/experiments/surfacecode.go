@@ -4,8 +4,8 @@ import (
 	"context"
 	"strconv"
 
-	"hetarch/internal/obs"
 	"hetarch/internal/obs/stats"
+	"hetarch/internal/obs/trace"
 	"hetarch/internal/surface"
 )
 
@@ -55,19 +55,19 @@ func Fig6(ctx context.Context, sc Scale, seed int64) (*Table, error) {
 	}
 	for _, a := range alphas {
 		label := "alpha=" + strconv.FormatFloat(a, 'g', -1, 64)
-		sp := obs.Span("fig6/" + label)
+		endRow := trace.Span("run", "run.row", label)
 		pd := surface.DefaultParams(d)
 		pd.TcdMicros = 100 * a
 		pa := surface.DefaultParams(d)
 		pa.TcaMicros = 100 * a
 		vd, cid, err := perCycleBothBases(ctx, pd, sc.Shots, seed, sc.Workers)
 		if err != nil {
-			sp.End()
+			endRow()
 			return nil, err
 		}
 		va, cia, err := perCycleBothBases(ctx, pa, sc.Shots, seed, sc.Workers)
 		if err != nil {
-			sp.End()
+			endRow()
 			return nil, err
 		}
 		t.Rows = append(t.Rows, Row{
@@ -75,7 +75,7 @@ func Fig6(ctx context.Context, sc Scale, seed int64) (*Table, error) {
 			Values: []float64{a, vd, va},
 			CIs:    []*stats.Interval{nil, cid, cia},
 		})
-		sp.End()
+		endRow()
 	}
 	return t, nil
 }
@@ -98,20 +98,20 @@ func Fig7(ctx context.Context, sc Scale, seed int64) (*Table, error) {
 	}
 	for _, d := range distances {
 		row := Row{Label: "d=" + strconv.Itoa(d)}
-		sp := obs.Span("fig7/" + row.Label)
+		endRow := trace.Span("run", "run.row", row.Label)
 		for _, r := range ratios {
 			p := surface.DefaultParams(d)
 			p.TcdMicros = 100 * r
 			v, ci, err := perCycleBothBases(ctx, p, sc.Shots, seed, sc.Workers)
 			if err != nil {
-				sp.End()
+				endRow()
 				return nil, err
 			}
 			row.Values = append(row.Values, v)
 			row.CIs = append(row.CIs, ci)
 		}
 		t.Rows = append(t.Rows, row)
-		sp.End()
+		endRow()
 	}
 	return t, nil
 }

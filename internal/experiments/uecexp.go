@@ -4,8 +4,8 @@ import (
 	"context"
 	"strconv"
 
-	"hetarch/internal/obs"
 	"hetarch/internal/obs/stats"
+	"hetarch/internal/obs/trace"
 	"hetarch/internal/qec"
 	"hetarch/internal/uec"
 )
@@ -69,19 +69,19 @@ func Fig9(ctx context.Context, sc Scale, seed int64) (*Table, error) {
 		t.Columns = append(t.Columns, "Ts="+strconv.FormatFloat(ts, 'g', -1, 64)+"ms")
 	}
 	for _, c := range evaluationCodes() {
-		sp := obs.Span("fig9/" + c.Name)
+		endRow := trace.Span("run", "run.row", c.Name)
 		row := Row{Label: c.Name}
 		for _, ts := range tsValues {
 			v, ci, err := combinedUEC(ctx, c.Code, ts, true, false, sc.Shots, seed, sc.Workers)
 			if err != nil {
-				sp.End()
+				endRow()
 				return nil, err
 			}
 			row.Values = append(row.Values, v)
 			row.CIs = append(row.CIs, ci)
 		}
 		t.Rows = append(t.Rows, row)
-		sp.End()
+		endRow()
 	}
 	return t, nil
 }
@@ -100,15 +100,15 @@ func Table3(ctx context.Context, sc Scale, seed int64) (*Table, error) {
 		ptShots = 500
 	}
 	for _, c := range evaluationCodes() {
-		sp := obs.Span("table3/" + c.Name)
+		endRow := trace.Span("run", "run.row", c.Name)
 		het, hetCI, err := combinedUEC(ctx, c.Code, 50, true, false, sc.Shots, seed, sc.Workers)
 		if err != nil {
-			sp.End()
+			endRow()
 			return nil, err
 		}
 		hom, homCI, err := combinedUEC(ctx, c.Code, 50, false, c.Native, sc.Shots, seed, sc.Workers)
 		if err != nil {
-			sp.End()
+			endRow()
 			return nil, err
 		}
 		pt := 0.0
@@ -118,7 +118,7 @@ func Table3(ctx context.Context, sc Scale, seed int64) (*Table, error) {
 			// codes "—": their figure of merit is the threshold).
 			v, ok, err := uec.PseudothresholdContext(ctx, uec.DefaultParams(c.Code, 50, true), ptShots, seed, sc.Workers)
 			if err != nil {
-				sp.End()
+				endRow()
 				return nil, err
 			}
 			if ok {
@@ -130,7 +130,7 @@ func Table3(ctx context.Context, sc Scale, seed int64) (*Table, error) {
 			Values: []float64{pt, het, hom, hom / het},
 			CIs:    []*stats.Interval{nil, hetCI, homCI, nil},
 		})
-		sp.End()
+		endRow()
 	}
 	return t, nil
 }

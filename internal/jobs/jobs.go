@@ -216,7 +216,10 @@ type Result struct {
 // directory; progress reports sampled shots for the SSE stream. A runner
 // that wants crash-tolerant resume opens a checkpoint in dir and installs
 // it on ctx with mc.WithCheckpoint, whose scope numbers the job's runs
-// independently of any other job running concurrently.
+// independently of any other job running concurrently. job.Spec.Workers
+// is the weight the pool granted the job (its resolved Workers clamped to
+// the pool), so a runner that uses exactly that many worker goroutines
+// keeps the daemon within Config.PoolWeight.
 type Runner func(ctx context.Context, job Job, dir string, progress func(delta int64)) (Result, error)
 
 // Config configures a Manager.
@@ -228,7 +231,7 @@ type Config struct {
 	Runner Runner
 	// PoolWeight is the total worker-goroutine budget jobs draw from
 	// (default runtime.NumCPU()). A job weighs its resolved Workers,
-	// clamped to the pool size.
+	// clamped to the pool size, and runs with that many (see Runner).
 	PoolWeight int
 	// TenantJobs is the per-tenant running-job limit (default 4).
 	TenantJobs int
@@ -765,6 +768,7 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 	defer m.wg.Done()
 	m.mu.Lock()
 	snap := m.snapshotLocked(j)
+	snap.Spec.Workers = int(j.weight)
 	m.mu.Unlock()
 
 	dir := m.JobDir(j.sub.ID)

@@ -165,6 +165,41 @@ func TestFingerprintIgnoresWorkers(t *testing.T) {
 	}
 }
 
+// The runner is handed the weight the pool granted as the job's worker
+// count, never the spec's unclamped request (nor NumCPU for workers 0), so
+// the daemon's total worker goroutines stay within PoolWeight however jobs
+// overlap. The job's public snapshot keeps the requested count.
+func TestManagerRunnerWorkersWithinPool(t *testing.T) {
+	seen := make(chan int, 1)
+	runner := func(ctx context.Context, job Job, dir string, progress func(int64)) (Result, error) {
+		seen <- job.Spec.Workers
+		return Result{}, nil
+	}
+	m, _ := openTestManager(t, t.TempDir(), newTestRunner(), func(c *Config) {
+		c.Runner = runner
+		c.PoolWeight = 1
+	})
+	for i, workers := range []int{4, 0} {
+		s := spec("fig9", int64(i+1))
+		s.Workers = workers
+		j, _, err := m.Submit(s, "alice", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got := <-seen:
+			if got != 1 {
+				t.Fatalf("spec workers %d: runner got %d workers, pool holds 1", workers, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("job never ran")
+		}
+		if done := waitState(t, m, j.ID, StateDone); done.Spec.Workers != workers {
+			t.Fatalf("job snapshot workers = %d, want the requested %d", done.Spec.Workers, workers)
+		}
+	}
+}
+
 // One tenant saturating its limit must not run more than TenantJobs at
 // once — and must not head-block another tenant's work.
 func TestManagerPerTenantLimit(t *testing.T) {

@@ -13,8 +13,8 @@
 // The injector fires before the checkpoint lookup inside the engine (the
 // hook wraps the whole shard attempt), so on a resumed run it can panic on
 // shards that a checkpoint would otherwise skip; resume tests normally
-// uninstall the injector first, modelling a transient fault that does not
-// recur.
+// resume under a context without the injector, modelling a transient fault
+// that does not recur.
 package chaos
 
 import (
@@ -28,9 +28,9 @@ import (
 )
 
 // Injector is a deterministic mc.FaultInjector. The zero value injects
-// nothing; configure it with the With/PanicOn methods before installing it
-// via mc.SetFaultInjector. All methods are safe for concurrent use by the
-// engine's workers.
+// nothing; configure it with the With/PanicOn methods before binding it to
+// a run's context via mc.WithFaultInjector. All methods are safe for
+// concurrent use by the engine's workers.
 type Injector struct {
 	mu          sync.Mutex
 	seed        int64

@@ -81,9 +81,7 @@ func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc.SetFaultInjector(in)
-		partial, err := mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner)
-		mc.SetFaultInjector(nil)
+		partial, err := mc.RunContext(mc.WithCheckpoint(mc.WithFaultInjector(ctx, in), cp), cfg, testRunner)
 		cancel()
 		cp.Close()
 
@@ -138,11 +136,9 @@ func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetFaultInjector(in)
-	if _, err := mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner); err == nil {
+	if _, err := mc.RunContext(mc.WithCheckpoint(mc.WithFaultInjector(ctx, in), cp), cfg, testRunner); err == nil {
 		t.Fatal("expected interruption")
 	}
-	mc.SetFaultInjector(nil)
 	cancel()
 	cp.Close()
 
@@ -174,9 +170,7 @@ func TestChaosResumeUnderShardPanics(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(8).CancelAfter(12, cancel)
 	cp, _ := Open(path, meta())
-	mc.SetFaultInjector(in)
-	mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner)
-	mc.SetFaultInjector(nil)
+	mc.RunContext(mc.WithCheckpoint(mc.WithFaultInjector(ctx, in), cp), cfg, testRunner)
 	cancel()
 	cp.Close()
 
@@ -189,9 +183,7 @@ func TestChaosResumeUnderShardPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetFaultInjector(in2)
-	got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp2), cfg, testRunner)
-	mc.SetFaultInjector(nil)
+	got, err := mc.RunContext(mc.WithCheckpoint(mc.WithFaultInjector(context.Background(), in2), cp2), cfg, testRunner)
 	cp2.Close()
 	if err != nil {
 		t.Fatal(err)

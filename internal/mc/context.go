@@ -1,6 +1,6 @@
 // Resilient execution layer of the mc engine: context-aware dispatch,
-// per-shard panic isolation with bounded same-stream retries, the
-// context-scoped checkpoint binding, and the fault-injection hook.
+// per-shard panic isolation with bounded same-stream retries, and the two
+// context-scoped run bindings: the checkpoint store and the fault injector.
 //
 // The layer exploits the engine's deterministic shard decomposition: a
 // cancelled or faulted run still returns the pooled tally of every shard
@@ -91,11 +91,12 @@ func (e *PartialError) Error() string {
 
 func (e *PartialError) Unwrap() error { return e.Cause }
 
-// FaultInjector is the chaos-testing hook: when installed via
-// SetFaultInjector, BeforeShard runs on the worker goroutine before every
-// shard attempt (it may sleep or panic — a panic is recovered and retried
-// like any shard fault) and ShardDone after every successful completion
-// (where it may cancel the run's context to simulate a mid-run kill).
+// FaultInjector is the chaos-testing hook: when bound to a run's context
+// via WithFaultInjector, BeforeShard runs on the worker goroutine before
+// every shard attempt (it may sleep or panic — a panic is recovered and
+// retried like any shard fault) and ShardDone after every successful
+// completion (where it may cancel the run's context to simulate a mid-run
+// kill).
 type FaultInjector interface {
 	BeforeShard(sh Shard, attempt int)
 	ShardDone(sh Shard)
@@ -121,11 +122,6 @@ type RunKey struct {
 	Seed      int64 `json:"seed"`
 	ShardSize int   `json:"shard_size"`
 }
-
-var (
-	hookMu   sync.Mutex
-	injector FaultInjector
-)
 
 // ckptScope is a context-scoped checkpoint binding: the store plus its own
 // run-sequence counter, so two experiments running concurrently in one
@@ -157,17 +153,14 @@ func checkpointScope(ctx context.Context) *ckptScope {
 	return s
 }
 
-// SetFaultInjector installs (nil removes) the chaos hook. Tests only.
-func SetFaultInjector(fi FaultInjector) {
-	hookMu.Lock()
-	injector = fi
-	hookMu.Unlock()
-}
+type injectorKey struct{}
 
-func currentInjector() FaultInjector {
-	hookMu.Lock()
-	defer hookMu.Unlock()
-	return injector
+// WithFaultInjector returns a context that binds every run under it to the
+// chaos hook fi (nil removes an outer binding). The binding is independent
+// of WithCheckpoint, so concurrent runs each see only their own injector.
+// The engine reads it once per run, so shards pay no context lookup.
+func WithFaultInjector(ctx context.Context, fi FaultInjector) context.Context {
+	return context.WithValue(ctx, injectorKey{}, fi)
 }
 
 // runShard executes one shard attempt under recover, converting a worker
@@ -215,7 +208,7 @@ func MapShardsContext[T any](ctx context.Context, cfg Config, newWorker func() f
 	}
 	out := make([]T, len(shards))
 	done := make([]bool, len(shards))
-	fi := currentInjector()
+	fi, _ := ctx.Value(injectorKey{}).(FaultInjector)
 
 	runCtx, stop := context.WithCancel(ctx)
 	defer stop()

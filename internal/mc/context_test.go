@@ -95,9 +95,7 @@ func TestChaosCancelPartialIsExactPrefix(t *testing.T) {
 	for _, k := range []int{1, 7, 20, 39} {
 		ctx, cancel := context.WithCancel(context.Background())
 		in := chaos.New(int64(k)).CancelAfter(k, cancel)
-		mc.SetFaultInjector(in)
-		got, err := mc.RunContext(ctx, cfg, countingRunner)
-		mc.SetFaultInjector(nil)
+		got, err := mc.RunContext(mc.WithFaultInjector(ctx, in), cfg, countingRunner)
 		cancel()
 
 		var pe *mc.PartialError
@@ -135,9 +133,7 @@ func TestChaosCancelPartialMatchesCompletedSet(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(1).CancelAfter(5, cancel)
-	mc.SetFaultInjector(in)
-	got, err := mc.RunContext(ctx, cfg, countingRunner)
-	mc.SetFaultInjector(nil)
+	got, err := mc.RunContext(mc.WithFaultInjector(ctx, in), cfg, countingRunner)
 	cancel()
 
 	var pe *mc.PartialError
@@ -168,9 +164,7 @@ func TestChaosPanicRetryBitIdentical(t *testing.T) {
 	for _, s := range picked {
 		in.PanicOnShard(s, 1)
 	}
-	mc.SetFaultInjector(in)
-	got, err := mc.RunContext(context.Background(), cfg, countingRunner)
-	mc.SetFaultInjector(nil)
+	got, err := mc.RunContext(mc.WithFaultInjector(context.Background(), in), cfg, countingRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +186,7 @@ func TestChaosPersistentPanicFailsCleanly(t *testing.T) {
 
 	const bad = 3
 	in := chaos.New(1).PanicOnShard(bad, 1+mc.DefaultShardRetries)
-	mc.SetFaultInjector(in)
-	got, err := mc.RunContext(context.Background(), cfg, countingRunner)
-	mc.SetFaultInjector(nil)
+	got, err := mc.RunContext(mc.WithFaultInjector(context.Background(), in), cfg, countingRunner)
 
 	var fault *mc.ShardFault
 	if !errors.As(err, &fault) {
@@ -387,5 +379,42 @@ func TestWithCheckpointNilStore(t *testing.T) {
 	}
 	if outer.records != 0 {
 		t.Fatalf("nil-store scope leaked %d records into the outer store", outer.records)
+	}
+}
+
+// TestChaosInjectorIsolatedPerContext: the fault injector is a binding of
+// one run's context, not of the process. Two runs execute concurrently;
+// the one whose context carries an injector that panics on every attempt
+// of shard 3 must fail with a *ShardFault, while the other, with no
+// injector, must return the fault-free tally.
+func TestChaosInjectorIsolatedPerContext(t *testing.T) {
+	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 4}
+	want := mustRun(t, cfg)
+
+	const bad = 3
+	in := chaos.New(1).PanicOnShard(bad, 1<<30)
+	var wg sync.WaitGroup
+	var faultErr, cleanErr error
+	var clean mc.Tally
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, faultErr = mc.RunContext(mc.WithFaultInjector(context.Background(), in), cfg, countingRunner)
+	}()
+	go func() {
+		defer wg.Done()
+		clean, cleanErr = mc.RunContext(context.Background(), cfg, countingRunner)
+	}()
+	wg.Wait()
+
+	var fault *mc.ShardFault
+	if !errors.As(faultErr, &fault) || fault.Shard != bad {
+		t.Fatalf("injected run: want *ShardFault on shard %d, got %v", bad, faultErr)
+	}
+	if cleanErr != nil {
+		t.Fatalf("run without an injector failed: %v", cleanErr)
+	}
+	if clean != want {
+		t.Fatalf("run without an injector %+v != fault-free %+v", clean, want)
 	}
 }

@@ -1,20 +1,20 @@
 // Package obs is the repo's zero-dependency observability substrate:
 // atomic counters, float gauges, lock-free exponential histograms, a named
-// registry with deterministic snapshots, lightweight span tracing with text
-// and JSON renderers, and a progress heartbeat.
+// registry with deterministic snapshots, and a progress heartbeat.
 //
 // The paper's central claim is a simulation-cost hierarchy (cells are
 // density-matrix simulated once, channels and modules reuse them); this
 // package is how the reproduction measures where its own cost goes. Hot
 // paths (Monte Carlo loops, the event scheduler, decoder invocations, the
 // characterization cache) update counters via single atomic adds — cheap
-// enough to leave on permanently — while span tracing is opt-in and off by
-// default.
+// enough to leave on permanently. Timelines (which shard ran where, how
+// long each table row took) are the flight profiler's job, in obs/trace.
 //
 // Metric names are dot-separated, prefixed with the owning package
-// ("surface.shots", "decoder.unionfind.decodes", "sched.events"). Shot-like
-// counters end in ".shots" so progress reporting can aggregate them without
-// enumerating producers.
+// ("surface.shots", "decoder.unionfind.decodes", "sched.events"). The
+// registry is process-wide: a run's own shot tally comes from its Monte
+// Carlo shards, not from summing these counters, which also count every
+// other run the process executed.
 package obs
 
 import (

@@ -150,19 +150,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSumCounters(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a.shots").Add(10)
-	r.Counter("b.shots").Add(20)
-	r.Counter("b.calls").Add(99)
-	got := r.Snapshot().SumCounters(func(name string) bool {
-		return strings.HasSuffix(name, ".shots")
-	})
-	if got != 30 {
-		t.Fatalf("sum %d, want 30", got)
-	}
-}
-
 func TestHeartbeatReportsAndStops(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer

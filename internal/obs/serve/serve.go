@@ -7,7 +7,6 @@
 //	/progress       current heartbeat state as JSON; with ?sse=1 or an
 //	                Accept: text/event-stream header, a Server-Sent-Events
 //	                stream of heartbeat ticks
-//	/spans          the live span tree as JSON
 //	/trace          the flight profiler's events so far as Chrome Trace
 //	                Event JSON — save and open in Perfetto/chrome://tracing
 //	/runs           the run ledger's envelopes as JSON (args, status,
@@ -44,7 +43,6 @@ import (
 // fail loudly instead of saving an empty body).
 type Options struct {
 	Registry  *obs.Registry
-	Tracer    *obs.Tracer
 	Heartbeat *obs.Heartbeat
 
 	// Trace is the flight profiler's event collector behind /trace. The
@@ -82,7 +80,6 @@ func Handler(opts Options) http.Handler {
 		fmt.Fprintln(w, "hetarch telemetry")
 		fmt.Fprintln(w, "  /metrics         prometheus text exposition")
 		fmt.Fprintln(w, "  /progress        heartbeat JSON (?sse=1 for an SSE stream)")
-		fmt.Fprintln(w, "  /spans           span tree JSON")
 		fmt.Fprintln(w, "  /trace           flight-profiler Chrome Trace JSON (open in Perfetto)")
 		fmt.Fprintln(w, "  /runs            run-ledger envelopes JSON (past runs + artifact manifests)")
 		if opts.Jobs != nil {
@@ -120,19 +117,6 @@ func Handler(opts Options) http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(hb.Last())
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			http.Error(w, "no tracer", http.StatusServiceUnavailable)
-			return
-		}
-		b, err := opts.Tracer.JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		// 404, not 200-with-empty-body: a script saving the download must

@@ -20,21 +20,15 @@ import (
 	"hetarch/internal/obs/trace"
 )
 
-func testOptions() (Options, *obs.Registry, *obs.Tracer) {
+func testOptions() (Options, *obs.Registry) {
 	reg := obs.NewRegistry()
 	reg.Counter("surface.shots").Add(640)
 	reg.Histogram("sched.event_lat_ns").Observe(1500)
-	tr := obs.NewTracer()
-	tr.SetEnabled(true)
-	sp := tr.Start("fig9")
-	child := tr.Start("fig9/Steane")
-	child.End()
-	sp.End()
-	return Options{Registry: reg, Tracer: tr}, reg, tr
+	return Options{Registry: reg}, reg
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	opts, _, _ := testOptions()
+	opts, _ := testOptions()
 	ts := httptest.NewServer(Handler(opts))
 	defer ts.Close()
 
@@ -64,8 +58,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSpansEndpoint: the span tree is gone (experiment and row timings are
+// flight-profiler events on /trace), so /spans is an unknown path even
+// with every telemetry source configured, and the index no longer lists it.
 func TestSpansEndpoint(t *testing.T) {
-	opts, _, _ := testOptions()
+	opts, _ := testOptions()
+	opts.Trace = trace.NewCollector()
+	opts.Trace.Enable(16, 1)
 	ts := httptest.NewServer(Handler(opts))
 	defer ts.Close()
 
@@ -73,18 +72,23 @@ func TestSpansEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var spans []*obs.TraceSpan
-	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /spans = %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 1 || spans[0].Name != "fig9" || len(spans[0].Children) != 1 {
-		t.Fatalf("span tree %+v", spans)
+	index, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if strings.Contains(string(index), "/spans") {
+		t.Fatalf("index still lists /spans:\n%s", index)
 	}
 }
 
 func TestProgressJSONAndSSE(t *testing.T) {
-	opts, reg, _ := testOptions()
+	opts, reg := testOptions()
 	shots := reg.Counter("surface.shots")
 	hb := obs.StartHeartbeat(io.Discard, 5*time.Millisecond, 10000, shots.Value)
 	defer hb.Stop()
@@ -141,7 +145,7 @@ func TestProgressJSONAndSSE(t *testing.T) {
 func TestDisabledEndpointsReturn503(t *testing.T) {
 	ts := httptest.NewServer(Handler(Options{}))
 	defer ts.Close()
-	for _, path := range []string{"/metrics", "/progress", "/spans"} {
+	for _, path := range []string{"/metrics", "/progress"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -222,7 +226,7 @@ func TestRunsEndpoint(t *testing.T) {
 }
 
 func TestIndexAndPprof(t *testing.T) {
-	opts, _, _ := testOptions()
+	opts, _ := testOptions()
 	ts := httptest.NewServer(Handler(opts))
 	defer ts.Close()
 
@@ -260,7 +264,7 @@ func TestIndexAndPprof(t *testing.T) {
 // .Shutdown must cancel the subscriber's request context first, letting the
 // drain complete promptly and the client observe a clean end of stream.
 func TestShutdownDisconnectsSSESubscribers(t *testing.T) {
-	opts, reg, _ := testOptions()
+	opts, reg := testOptions()
 	shots := reg.Counter("surface.shots")
 	hb := obs.StartHeartbeat(io.Discard, 5*time.Millisecond, 10000, shots.Value)
 	defer hb.Stop()
@@ -334,7 +338,6 @@ func TestServeUnderLoad(t *testing.T) {
 	defer hb.Stop()
 	srv, err := Start("127.0.0.1:0", Options{
 		Registry:  obs.Default, // mc's shard histograms register here
-		Tracer:    obs.DefaultTracer,
 		Heartbeat: hb,
 		Trace:     trace.Default,
 	})
@@ -495,7 +498,7 @@ func TestServeUnderLoad(t *testing.T) {
 }
 
 func TestStartAndClose(t *testing.T) {
-	opts, _, _ := testOptions()
+	opts, _ := testOptions()
 	srv, err := Start("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)

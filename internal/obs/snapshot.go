@@ -44,17 +44,6 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 // Gauge returns the snapshotted value of the named gauge (0 if absent).
 func (s Snapshot) Gauge(name string) float64 { return s.Gauges[name] }
 
-// SumCounters totals every counter whose name satisfies match.
-func (s Snapshot) SumCounters(match func(name string) bool) int64 {
-	var total int64
-	for name, v := range s.Counters {
-		if match(name) {
-			total += v
-		}
-	}
-	return total
-}
-
 // fmtValue renders nanosecond-valued metrics as durations so the table is
 // readable; everything else prints as a plain number.
 func fmtValue(name string, v int64) string {

@@ -224,3 +224,22 @@ func Now() int64 { return Default.Now() }
 
 // Emit records an event on the default collector.
 func Emit(e Event) { Default.Emit(e) }
+
+// noSpan is the end func of a span opened while the collector is disabled.
+func noSpan() {}
+
+// Span opens an unsampled complete event on lane 0 of proc's track of the
+// default collector and returns the func that ends it. It is for coarse
+// units that every trace should carry, such as one experiment or one table
+// row, next to the index-sampled shard events. While the collector is
+// disabled it costs one atomic load and allocates nothing.
+func Span(proc, cat, name string) (end func()) {
+	if !Default.Enabled() {
+		return noSpan
+	}
+	ts0 := Default.Now()
+	return func() {
+		Default.Emit(Event{Name: name, Cat: cat, Proc: proc, Phase: PhaseComplete,
+			TS: ts0, Dur: Default.Now() - ts0, Index: -1})
+	}
+}

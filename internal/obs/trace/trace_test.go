@@ -215,3 +215,49 @@ func TestChromeTraceDeterministicRender(t *testing.T) {
 		t.Fatal("equal event sets rendered differently")
 	}
 }
+
+// TestSpanDisabledIsInert: with the default collector disabled, opening
+// and ending a span records nothing and allocates nothing, so per-row
+// hooks cost one atomic load in untraced runs.
+func TestSpanDisabledIsInert(t *testing.T) {
+	Default.Disable()
+	allocs := testing.AllocsPerRun(100, func() {
+		Span("run", "run.row", "Steane")()
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled Span allocated %.0f times per call", allocs)
+	}
+	if Default.Len() != 0 {
+		t.Fatalf("disabled Span recorded %d events", Default.Len())
+	}
+}
+
+// TestSpanNesting: spans are unsampled complete events, and a span ended
+// inside another lies within the outer span's interval.
+func TestSpanNesting(t *testing.T) {
+	Default.Enable(16, 1<<20) // a stride no shard index would hit
+	defer Default.Disable()
+	endExp := Span("run", "run.experiment", "fig9")
+	for _, row := range []string{"Steane", "Surface-d3"} {
+		Span("run", "run.row", row)()
+	}
+	endExp()
+
+	ev := Default.Events()
+	if len(ev) != 3 {
+		t.Fatalf("recorded %d events, want 3: %+v", len(ev), ev)
+	}
+	exp := ev[2]
+	if exp.Name != "fig9" || exp.Cat != "run.experiment" || exp.Proc != "run" || exp.Phase != PhaseComplete || exp.Index != -1 {
+		t.Fatalf("experiment span %+v", exp)
+	}
+	for _, row := range ev[:2] {
+		if row.Cat != "run.row" || row.Phase != PhaseComplete {
+			t.Fatalf("row span %+v", row)
+		}
+		if row.TS < exp.TS || row.TS+row.Dur > exp.TS+exp.Dur {
+			t.Fatalf("row span %q [%d,%d] outside experiment span [%d,%d]",
+				row.Name, row.TS, row.TS+row.Dur, exp.TS, exp.TS+exp.Dur)
+		}
+	}
+}

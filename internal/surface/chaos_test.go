@@ -30,9 +30,7 @@ func TestChaosSurfaceCancelResumeBitIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(3).CancelAfter(5, cancel)
-	mc.SetFaultInjector(in)
-	partial, err := e.RunContext(mc.WithCheckpoint(ctx, cp), shots, seed, workers)
-	mc.SetFaultInjector(nil)
+	partial, err := e.RunContext(mc.WithCheckpoint(mc.WithFaultInjector(ctx, in), cp), shots, seed, workers)
 	cancel()
 	cp.Close()
 
@@ -76,9 +74,7 @@ func TestChaosSurfacePanicRetryBitIdentical(t *testing.T) {
 	for _, s := range in.PickShards(2, shots/mc.DefaultShardSize) {
 		in.PanicOnShard(s, 1)
 	}
-	mc.SetFaultInjector(in)
-	got, err := e.RunContext(context.Background(), shots, seed, 2)
-	mc.SetFaultInjector(nil)
+	got, err := e.RunContext(mc.WithFaultInjector(context.Background(), in), shots, seed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,7 @@ func TestChaosUECCancelResumeBitIdentical(t *testing.T) {
 	// 2048 shots = 8 shards per basis; cancel inside the second sub-run so
 	// the resume must splice shards from both run keys.
 	in := chaos.New(1).CancelAfter(11, cancel)
-	mc.SetFaultInjector(in)
-	_, err = bothBases(mc.WithCheckpoint(ctx, cp))
-	mc.SetFaultInjector(nil)
+	_, err = bothBases(mc.WithCheckpoint(mc.WithFaultInjector(ctx, in), cp))
 	cancel()
 	cp.Close()
 	if !errors.Is(err, context.Canceled) {
