@@ -8,15 +8,16 @@ import (
 // count, then 3-byte edge records (U, V-or-boundary, observable-mask bits).
 // Every byte string maps to a valid graph, so the fuzzer explores shapes —
 // multi-edges, boundary-heavy nodes, disconnected islands — no generator
-// written by hand would.
+// written by hand would. Up to 255 nodes and 320 edges, so the peel's node
+// and edge bitsets span several 64-bit words.
 func decodeFuzzGraph(data []byte) (*Graph, []byte) {
 	if len(data) < 1 {
 		return nil, nil
 	}
-	n := int(data[0])%24 + 2
+	n := int(data[0])%254 + 2
 	data = data[1:]
 	g := &Graph{NumNodes: n}
-	for len(data) >= 3 && len(g.Edges) < 96 {
+	for len(data) >= 3 && len(g.Edges) < 320 {
 		u := int(data[0]) % n
 		v := int(data[1]) % (n + 1)
 		e := Edge{U: u, V: v, ObsMask: uint64(data[2] & 3)}

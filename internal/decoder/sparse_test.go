@@ -1,8 +1,10 @@
 package decoder
 
 import (
+	"fmt"
 	"testing"
 
+	"hetarch/internal/qec"
 	"hetarch/internal/splitmix"
 )
 
@@ -28,6 +30,46 @@ func sectorGraph(d, layers int) *Graph {
 			g.Edges = append(g.Edges, Edge{U: node(q-1, r), V: node(q, r)})
 		}
 		g.Edges = append(g.Edges, Edge{U: node(numStabs-1, r), V: Boundary})
+	}
+	return g
+}
+
+// planarGraph builds the Z-basis sector of the distance-d rotated surface
+// code over the given number of detector layers, the way internal/surface's
+// buildGraph does: one node per (Z plaquette, layer), time-like edges
+// between layers, one space edge per data qubit per layer (a boundary edge
+// where the qubit has a single owning plaquette) and the observable mask on
+// the qubits of LogicalZ. At d=13 and 14 layers it has 1,176 nodes and
+// 3,458 edges, so both peel bitsets span many words.
+func planarGraph(d, layers int) *Graph {
+	code, layout := qec.Surface(d)
+	plaq := layout.ZPlaquettes
+	g := &Graph{NumNodes: len(plaq) * layers}
+	node := func(stab, layer int) int { return layer*len(plaq) + stab }
+	for s := range plaq {
+		for r := 0; r+1 < layers; r++ {
+			g.Edges = append(g.Edges, Edge{U: node(s, r), V: node(s, r+1)})
+		}
+	}
+	owners := make([][]int, code.N)
+	for s, qs := range plaq {
+		for _, q := range qs {
+			owners[q] = append(owners[q], s)
+		}
+	}
+	for q, own := range owners {
+		var obs uint64
+		if code.LogicalZ.LetterAt(q) != 'I' {
+			obs = 1
+		}
+		for r := 0; r < layers; r++ {
+			switch len(own) {
+			case 1:
+				g.Edges = append(g.Edges, Edge{U: node(own[0], r), V: Boundary, ObsMask: obs})
+			case 2:
+				g.Edges = append(g.Edges, Edge{U: node(own[0], r), V: node(own[1], r), ObsMask: obs})
+			}
+		}
 	}
 	return g
 }
@@ -68,25 +110,41 @@ func randomDefectWords(rng *splitmix.RNG, words []uint64, density int) {
 // shots per graph: every prediction must agree bit for bit, through all
 // three entry points (dense Decode, DecodeBits, DecodeBatch) and with the
 // decoder instance reused across shots so the epoch-stamped scratch is
-// exercised the way the shard runners use it.
+// exercised the way the shard runners use it. The planar graph is the real
+// d=13 surface-code sector: at ~147 defects per shot the peel seeds every
+// tree-edge endpoint and both of its bitsets span many words, a regime the
+// 1-D sector graphs never reach. Its dense reference is slow, so it runs
+// fewer shots.
 func TestSparseDecoderMatchesReference(t *testing.T) {
 	rng := splitmix.New(11)
-	graphs := map[string]*Graph{
-		"sector-d5":  sectorGraph(5, 6),
-		"sector-d9":  sectorGraph(9, 10),
-		"sector-d13": sectorGraph(13, 14),
-		"random-32":  randomGraph(rng, 32, 64),
-		"random-7":   randomGraph(rng, 7, 9),
+	planar := planarGraph(13, 14)
+	if planar.NumNodes != 1176 || len(planar.Edges) != 3458 {
+		t.Fatalf("planar d=13 graph has %d nodes and %d edges, want 1176 and 3458", planar.NumNodes, len(planar.Edges))
 	}
-	const shots = 10000
-	for name, g := range graphs {
+	planarShots := 2048
+	if testing.Short() {
+		planarShots = 256
+	}
+	graphs := map[string]struct {
+		g     *Graph
+		shots int
+	}{
+		"sector-d5":  {sectorGraph(5, 6), 10000},
+		"sector-d9":  {sectorGraph(9, 10), 10000},
+		"sector-d13": {sectorGraph(13, 14), 10000},
+		"random-32":  {randomGraph(rng, 32, 64), 10000},
+		"random-7":   {randomGraph(rng, 7, 9), 10000},
+		"planar-d13": {planar, planarShots},
+	}
+	for name, c := range graphs {
 		t.Run(name, func(t *testing.T) {
+			g := c.g
 			ref := newRefUnionFind(g)
 			u := NewUnionFind(g)
 			words := make([]uint64, g.NumNodes)
 			preds := make([]uint64, 64)
 			dense := make([]bool, g.NumNodes)
-			for done := 0; done < shots; done += 64 {
+			for done := 0; done < c.shots; done += 64 {
 				randomDefectWords(rng, words, 3)
 				u.DecodeBatch(words, 64, preds)
 				for s := 0; s < 64; s++ {
@@ -111,23 +169,37 @@ func TestSparseDecoderMatchesReference(t *testing.T) {
 
 // TestSparseDecoderFreshVsReused guards the epoch reset: a long-lived
 // decoder that has seen many shots must predict exactly like a freshly
-// constructed one on the same pattern.
+// constructed one on the same pattern, and the peel-root bitsets, which
+// are not epoch-stamped, must be empty again after every batch.
 func TestSparseDecoderFreshVsReused(t *testing.T) {
 	g := sectorGraph(7, 8)
 	rng := splitmix.New(5)
 	aged := NewUnionFind(g)
 	words := make([]uint64, g.NumNodes)
 	preds := make([]uint64, 64)
+	bitsetsEmpty := func(u *UnionFind, batch int) {
+		t.Helper()
+		for name, set := range map[string][]uint64{"seedEdges": u.seedEdges, "rootNodes": u.rootNodes} {
+			for wi, w := range set {
+				if w != 0 {
+					t.Fatalf("batch %d: %s word %d = %#x after decode, want 0", batch, name, wi, w)
+				}
+			}
+		}
+	}
 	for i := 0; i < 64; i++ {
 		randomDefectWords(rng, words, 2)
 		aged.DecodeBatch(words, 64, preds)
+		bitsetsEmpty(aged, i)
 	}
 	for i := 0; i < 16; i++ {
 		randomDefectWords(rng, words, 2)
 		aged.DecodeBatch(words, 64, preds)
+		bitsetsEmpty(aged, 64+i)
 		fresh := NewUnionFind(g)
 		fpreds := make([]uint64, 64)
 		fresh.DecodeBatch(words, 64, fpreds)
+		bitsetsEmpty(fresh, 64+i)
 		for s := 0; s < 64; s++ {
 			if preds[s] != fpreds[s] {
 				t.Fatalf("batch %d shot %d: aged=%d fresh=%d", i, s, preds[s], fpreds[s])
@@ -138,19 +210,31 @@ func TestSparseDecoderFreshVsReused(t *testing.T) {
 
 // TestDecodeSteadyStateZeroAllocs is the allocation gate for the decoder
 // core: after warm-up, decoding allocates nothing — per 64-shot batch, per
-// dense Decode, per DecodeBits call — on sector graphs from d=5 to d=13.
-// The measured runs replay the warm-up's RNG stream, so arena capacities
-// are provably at their high-water mark when counting starts.
+// dense Decode, per DecodeBits call — on sector graphs from d=5 to d=13 and
+// on the planar d=13 surface-code graph. The measured runs replay the
+// warm-up's RNG stream, so arena capacities are provably at their
+// high-water mark when counting starts. The planar graph's ~147-defect
+// shots are slow under -race, so it measures fewer runs.
 func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
+	type allocCase struct {
+		name string
+		seed int64
+		runs int
+		g    *Graph
+	}
+	var cases []allocCase
 	for d := 5; d <= 13; d += 2 {
-		g := sectorGraph(d, d+1)
+		cases = append(cases, allocCase{fmt.Sprintf("sector d=%d", d), int64(d), 64, sectorGraph(d, d+1)})
+	}
+	cases = append(cases, allocCase{"planar d=13", 113, 8, planarGraph(13, 14)})
+	for _, c := range cases {
+		g := c.g
 		u := NewUnionFind(g)
 		words := make([]uint64, g.NumNodes)
 		preds := make([]uint64, 64)
 		dense := make([]bool, g.NumNodes)
 		defects := 0
 
-		const runs = 64
 		batch := func() {
 			randomDefectWords(splitmixShared, words, 3)
 			u.DecodeBatch(words, 64, preds)
@@ -168,22 +252,22 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 			}
 		}
 
-		splitmixShared.Seed(int64(d))
-		for i := 0; i < runs+1; i++ {
+		splitmixShared.Seed(c.seed)
+		for i := 0; i < c.runs+1; i++ {
 			batch()
 		}
-		splitmixShared.Seed(int64(d))
-		if avg := testing.AllocsPerRun(runs, batch); avg != 0 {
-			t.Errorf("d=%d: DecodeBatch allocates %.2f per 64-shot batch, want 0", d, avg)
+		splitmixShared.Seed(c.seed)
+		if avg := testing.AllocsPerRun(c.runs, batch); avg != 0 {
+			t.Errorf("%s: DecodeBatch allocates %.2f per 64-shot batch, want 0", c.name, avg)
 		}
 
-		splitmixShared.Seed(int64(d) + 100)
-		for i := 0; i < runs+1; i++ {
+		splitmixShared.Seed(c.seed + 100)
+		for i := 0; i < c.runs+1; i++ {
 			one()
 		}
-		splitmixShared.Seed(int64(d) + 100)
-		if avg := testing.AllocsPerRun(runs, one); avg != 0 {
-			t.Errorf("d=%d: Decode/DecodeBits allocates %.2f per shot, want 0", d, avg)
+		splitmixShared.Seed(c.seed + 100)
+		if avg := testing.AllocsPerRun(c.runs, one); avg != 0 {
+			t.Errorf("%s: Decode/DecodeBits allocates %.2f per shot, want 0", c.name, avg)
 		}
 	}
 }

@@ -63,8 +63,9 @@ func (g *Graph) Validate() error {
 //     with d defects therefore costs O(cluster area around the defects),
 //     never O(NumNodes + Edges).
 //   - Arena slices. All transient lists (active roots, odd roots, grown
-//     edges, BFS queue/order) live on the decoder and are reused across
-//     calls, so steady-state decoding performs zero allocations.
+//     edges, peel-root bitsets, BFS queue/order) live on the decoder and
+//     are reused across calls, so steady-state decoding performs zero
+//     allocations.
 //
 // The decoder is reusable: Decode/DecodeBits/DecodeBatch may be called
 // repeatedly with different defect patterns. It is not safe for concurrent
@@ -87,8 +88,7 @@ type UnionFind struct {
 	size     []int
 	parity   []int  // defect count mod 2 per cluster root
 	boundary []bool // cluster touches the boundary
-	growth   []int  // per-edge growth 0..2
-	onTree   []bool // edge fully grown
+	growth   []int  // per-edge growth 0..2; 2 means on the cluster tree
 	// edgeList[root] holds the indices of edges incident to the cluster;
 	// merged on union so growth never rescans the whole graph. Slots keep
 	// their capacity across decodes.
@@ -108,8 +108,8 @@ type UnionFind struct {
 	defNow       []bool
 	parentEdge   []int
 	boundaryEdge []int
-	bSeed        []int // grown boundary edges, sorted by index
-	rootCand     []int // candidate BFS roots, sorted by node index
+	seedEdges    []uint64 // bitset of grown boundary edges; zero between decodes
+	rootNodes    []uint64 // bitset of candidate BFS roots; zero between decodes
 	order        []int
 	queue        []int // BFS ring: qHead indexes the next pop, so the arena's
 	qHead        int   // backing array is reused instead of sliced away
@@ -139,7 +139,6 @@ func NewUnionFind(g *Graph) *UnionFind {
 	u.parity = make([]int, g.NumNodes)
 	u.boundary = make([]bool, g.NumNodes)
 	u.growth = make([]int, len(g.Edges))
-	u.onTree = make([]bool, len(g.Edges))
 	u.edgeList = make([][]int, g.NumNodes)
 	u.seenStamp = make([]uint64, g.NumNodes)
 	u.peelEpoch = make([]uint64, g.NumNodes)
@@ -147,6 +146,8 @@ func NewUnionFind(g *Graph) *UnionFind {
 	u.defNow = make([]bool, g.NumNodes)
 	u.parentEdge = make([]int, g.NumNodes)
 	u.boundaryEdge = make([]int, g.NumNodes)
+	u.seedEdges = make([]uint64, (len(g.Edges)+63)/64)
+	u.rootNodes = make([]uint64, (g.NumNodes+63)/64)
 	return u
 }
 
@@ -181,16 +182,10 @@ func (u *UnionFind) touchEdge(ei int) {
 	}
 	u.edgeEpoch[ei] = u.epoch
 	u.growth[ei] = 0
-	u.onTree[ei] = false
 }
 
-// isOnTree reports whether edge ei was fully grown in the current decode,
-// without stamping untouched edges.
-func (u *UnionFind) isOnTree(ei int) bool {
-	return u.edgeEpoch[ei] == u.epoch && u.onTree[ei]
-}
-
-// grownFull reports whether edge ei has reached full growth this decode.
+// grownFull reports whether edge ei has reached full growth (is on a
+// cluster tree) this decode, without stamping untouched edges.
 func (u *UnionFind) grownFull(ei int) bool {
 	return u.edgeEpoch[ei] == u.epoch && u.growth[ei] >= 2
 }
@@ -364,7 +359,6 @@ func (u *UnionFind) decode(defects []int) uint64 {
 				progress = true
 				if u.growth[ei] == 2 {
 					e := u.g.Edges[ei]
-					u.onTree[ei] = true
 					u.treeEdges = append(u.treeEdges, ei)
 					if e.V == Boundary {
 						r := u.find(e.U)
@@ -420,19 +414,9 @@ func (u *UnionFind) decode(defects []int) uint64 {
 	return u.peel(defects)
 }
 
-// sortInts is an insertion sort for the small peel scratch lists (a few
-// entries per decode at the physical error rates of interest); avoids the
-// sort package's interface boxing on the hot path.
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
+// setBit marks index i in the bitset s.
+func setBit(s []uint64, i int) {
+	s[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // peel extracts a correction from the grown cluster forests and returns the
@@ -447,41 +431,49 @@ func (u *UnionFind) peel(defects []int) uint64 {
 
 	// Build BFS forests over fully-grown edges. Roots are nodes adjacent to
 	// grown boundary edges (so defects can drain into the boundary), then
-	// the lowest-index unvisited node of each remaining tree. Both seed
-	// lists are sorted so the traversal matches a dense index-order scan.
+	// the lowest-index unvisited node of each remaining tree. Both kinds of
+	// seed are marked in a bitset and read back word by word in ascending
+	// index order (zeroing each word as it is read), so the traversal
+	// matches a dense index-order scan.
 	u.order = u.order[:0]
 	u.queue = u.queue[:0]
 	u.qHead = 0
-	u.bSeed = u.bSeed[:0]
-	u.rootCand = u.rootCand[:0]
 	for _, ei := range u.treeEdges {
 		e := u.g.Edges[ei]
+		setBit(u.rootNodes, e.U)
 		if e.V == Boundary {
-			u.bSeed = append(u.bSeed, ei)
-			u.rootCand = append(u.rootCand, e.U)
+			setBit(u.seedEdges, ei)
 		} else {
-			u.rootCand = append(u.rootCand, e.U, e.V)
+			setBit(u.rootNodes, e.V)
 		}
 	}
-	u.rootCand = append(u.rootCand, defects...)
-	sortInts(u.bSeed)
-	for _, ei := range u.bSeed {
-		v := u.g.Edges[ei].U
-		u.touchPeel(v)
-		if !u.visited[v] {
-			u.visited[v] = true
-			u.boundaryEdge[v] = ei
-			u.queue = append(u.queue, v)
+	for _, d := range defects {
+		setBit(u.rootNodes, d)
+	}
+	for wi, w := range u.seedEdges {
+		u.seedEdges[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			ei := wi<<6 | bits.TrailingZeros64(w)
+			v := u.g.Edges[ei].U
+			u.touchPeel(v)
+			if !u.visited[v] {
+				u.visited[v] = true
+				u.boundaryEdge[v] = ei
+				u.queue = append(u.queue, v)
+			}
 		}
 	}
 	u.bfs() // drain the boundary-rooted trees first
-	sortInts(u.rootCand)
-	for _, start := range u.rootCand {
-		u.touchPeel(start)
-		if !u.visited[start] {
-			u.visited[start] = true
-			u.queue = append(u.queue, start)
-			u.bfs()
+	for wi, w := range u.rootNodes {
+		u.rootNodes[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			start := wi<<6 | bits.TrailingZeros64(w)
+			u.touchPeel(start)
+			if !u.visited[start] {
+				u.visited[start] = true
+				u.queue = append(u.queue, start)
+				u.bfs()
+			}
 		}
 	}
 
@@ -522,7 +514,7 @@ func (u *UnionFind) bfs() {
 		u.qHead++
 		u.order = append(u.order, v)
 		for _, ei := range u.adj[v] {
-			if !u.isOnTree(ei) {
+			if !u.grownFull(ei) {
 				continue
 			}
 			e := u.g.Edges[ei]

@@ -17,7 +17,7 @@ import (
 type Scale struct {
 	Shots          int     // stabilizer Monte Carlo shots per point
 	DistillHorizon float64 // µs of simulated time per distillation point
-	MaxDistance    int     // largest surface-code distance in sweeps
+	MaxDistance    int     // largest distance in the Fig 7 sweep (Fig 6 caps at 13)
 
 	// Workers is the mc engine's goroutine count for every shot-shaped
 	// runner (<= 0 means runtime.NumCPU()). Results are worker-count
@@ -28,7 +28,7 @@ type Scale struct {
 
 // Full returns publication-scale settings.
 func Full() Scale {
-	return Scale{Shots: 20000, DistillHorizon: 50000, MaxDistance: 13}
+	return Scale{Shots: 20000, DistillHorizon: 50000, MaxDistance: 17}
 }
 
 // Quick returns CI-scale settings.

@@ -109,6 +109,24 @@ func TestFig6Shape(t *testing.T) {
 	}
 }
 
+// TestFig6StaysAtD13 guards the split between the two surface-code sweeps:
+// Full() raises MaxDistance to extend Fig 7, and Fig 6 must stay at the
+// paper's d=13 all the same.
+func TestFig6StaysAtD13(t *testing.T) {
+	sc := Full()
+	if sc.MaxDistance <= 13 {
+		t.Fatalf("Full().MaxDistance = %d; this test needs a distance above 13", sc.MaxDistance)
+	}
+	sc.Shots = 64
+	tab, err := Fig6(context.Background(), sc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tab.Title, "(d=13)") {
+		t.Fatalf("Fig 6 title %q, want d=13 at MaxDistance %d", tab.Title, sc.MaxDistance)
+	}
+}
+
 func TestFig7Shape(t *testing.T) {
 	sc := Quick()
 	tab, err := Fig7(context.Background(), sc, 3)

@@ -45,9 +45,10 @@ func perCycleBothBases(ctx context.Context, p surface.Params, shots int, seed in
 // Fig6 reproduces the d=13 coherence sweep: logical error per cycle as the
 // data-qubit coherence T_CD (or the ancilla coherence T_CA) is scaled to
 // α·100 µs while the other stays at 100 µs, plus the homogeneous baseline
-// (α = 1). Quick scales may reduce the distance.
+// (α = 1). The distance is capped at 13, the paper's, so a larger
+// MaxDistance only extends Fig 7; quick scales may reduce it.
 func Fig6(ctx context.Context, sc Scale, seed int64) (*Table, error) {
-	d := sc.MaxDistance
+	d := min(13, sc.MaxDistance)
 	alphas := []float64{1, 2, 3, 5, 7, 10}
 	t := &Table{
 		Title:   "Fig 6: logical error per cycle vs coherence scaling (d=" + strconv.Itoa(d) + ")",
