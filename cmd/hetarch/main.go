@@ -8,7 +8,6 @@
 //	        [-cache-dir DIR] [-cpuprofile FILE] [-memprofile FILE]
 //	        [-trace-out FILE] [-trace-sample N] [-log-format text|json]
 //	        [-ledger-dir DIR] [-timeout D]
-//	hetarch serve -data-dir DIR [-listen ADDR] [flags]
 //	hetarch runs <list|show|diff|gc> [args]
 //
 // where experiment is one of: devices (Table 1), cells (Table 2), fig3,
@@ -22,7 +21,8 @@
 // digests — to the append-only run ledger (-ledger-dir, default
 // $HETARCH_LEDGER_DIR then ~/.hetarch; "off" disables). `hetarch runs`
 // audits that ledger: list past runs, show one with digest verification,
-// diff two through the obs/diff gates, gc runs whose artifacts are gone.
+// diff two runs or recorder files through the obs/diff gates, gc runs whose
+// artifacts are gone.
 //
 // Operational events (run start/done, checkpoint resume, shard faults,
 // trace written, ...) go to stderr through log/slog — logfmt-style text by
@@ -32,8 +32,8 @@
 // /metrics (Prometheus text), /progress (JSON, or SSE with ?sse=1), /trace
 // (flight-profiler download), /runs and /debug/pprof. -record journals the
 // run to a JSONL flight-recorder artifact (config, seeds, git revision,
-// per-batch counts, final metrics) that cmd/obsdiff can diff against a
-// baseline.
+// per-batch counts, final metrics) that `hetarch runs diff` can diff
+// against a baseline.
 //
 // -trace-out arms the engine flight profiler: Monte Carlo shard phases
 // (queue wait, execution, sample/decode sub-phases, merge) and DSE point
@@ -60,14 +60,6 @@
 // a persistent content-addressed cache of standard-cell characterizations:
 // a warm re-run produces bit-identical stdout while skipping density-matrix
 // simulation entirely (cache accounting goes to stderr and -metrics).
-//
-// `hetarch serve` runs the process as hetarchd, a long-lived multi-tenant
-// experiment service: POST specs to /jobs, poll or SSE-follow job state,
-// and fetch output artifacts over HTTP. Jobs are scheduled FIFO within
-// priority on a bounded worker pool with per-tenant limits, deduplicated
-// by spec fingerprint, journaled durably (a restarted daemon resumes
-// running jobs from their checkpoints), and stamped into the run ledger.
-// See API.md for the wire contract and daemon.go for the architecture.
 //
 // Every run keeps one shot tally: the Monte Carlo shards it accounts for,
 // executed or replayed from -checkpoint, feed the -progress heartbeat, the
@@ -99,7 +91,6 @@ import (
 	"hetarch/internal/core"
 	dsecache "hetarch/internal/dse/cache"
 	"hetarch/internal/experiments"
-	"hetarch/internal/jobs"
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/checkpoint"
 	"hetarch/internal/obs"
@@ -158,11 +149,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if name == "runs" {
 		return runsMain(args[1:], stdout, stderr)
 	}
-	if name == "serve" {
-		return daemonMain(ctx, args[1:], stdout, stderr)
-	}
 	if strings.HasPrefix(name, "-") {
 		fmt.Fprintf(stderr, "hetarch: first argument must be the experiment name, got flag %q\n", name)
+		usage(fs, stderr)
+		return exitUsage
+	}
+	if !knownExperiment(name) {
+		fmt.Fprintf(stderr, "hetarch: unknown experiment %q\n", name)
 		usage(fs, stderr)
 		return exitUsage
 	}
@@ -223,23 +216,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		usage(fs, stderr)
 		return exitUsage
 	}
-	if !knownExperiment(name) {
-		fmt.Fprintf(stderr, "hetarch: unknown experiment %q\n", name)
-		usage(fs, stderr)
-		return exitUsage
-	}
 
-	spec := jobs.Spec{Experiment: name, Scale: jobs.ScaleFull, Seed: *seed, Shots: *shots, Workers: *workers}
+	scale, sc := "full", experiments.Full()
 	if *quick {
-		spec.Scale = jobs.ScaleQuick
+		scale, sc = "quick", experiments.Quick()
 	}
-	sc := scaleOf(spec)
+	if *shots > 0 {
+		sc.Shots = *shots
+	}
+	sc.Workers = *workers
 
 	// Run identity: a deterministic-format ULID (mint time + entropy from
 	// -seed) stamped into every event, artifact, and the ledger envelope.
 	// The header is the recorder artifact's build/host fact sheet.
 	runID := runlog.MintID(*seed)
-	hdr := recorder.NewHeader("hetarch", name, spec.Scale, *seed, mc.ResolveWorkers(*workers), args)
+	hdr := recorder.NewHeader("hetarch", name, scale, *seed, mc.ResolveWorkers(*workers), args)
 	hdr.RunID = runID
 	lg, err := runlog.New(stderr, *logFormat, runID)
 	if err != nil {
@@ -248,7 +239,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	runlog.Set(lg)
 	defer runlog.Set(nil)
-	lg.Info(runlog.EvRunStart, "experiment", name, "scale", spec.Scale,
+	lg.Info(runlog.EvRunStart, "experiment", name, "scale", scale,
 		"seed", *seed, "workers", hdr.Workers, "git_revision", hdr.GitRevision, "git_dirty", hdr.GitDirty)
 
 	led, err := openLedger(*ledgerDir, lg)
@@ -353,7 +344,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// numbered across every experiment in it.
 	resumedFrom := ""
 	if *ckptPath != "" {
-		meta := checkpoint.NewMeta("hetarch", name, spec.Scale, *seed, *shots)
+		meta := checkpoint.NewMeta("hetarch", name, scale, *seed, *shots)
 		meta.RunID = runID
 		cp, err := checkpoint.Open(*ckptPath, meta)
 		if err != nil {
@@ -421,9 +412,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if led == nil {
 			return
 		}
-		e := newEnvelope("hetarch", runID, spec, runStart, status, runErr, meter)
-		e.Args = args
-		e.ResumedFrom = resumedFrom
+		wall := time.Since(runStart).Seconds()
+		e := ledger.Envelope{
+			RunID:       runID,
+			Tool:        "hetarch",
+			Experiment:  name,
+			Scale:       scale,
+			Seed:        *seed,
+			Shots:       *shots,
+			Workers:     hdr.Workers,
+			Args:        args,
+			GoVersion:   hdr.GoVersion,
+			GitRevision: hdr.GitRevision,
+			GitDirty:    hdr.GitDirty,
+			StartedAt:   runStart.UTC().Format(time.RFC3339),
+			EndedAt:     time.Now().UTC().Format(time.RFC3339),
+			WallSeconds: wall,
+			Status:      status,
+			ResumedFrom: resumedFrom,
+			Metrics:     ledger.NewHeadline(meter.shots.Load(), meter.errs.Load(), wall),
+		}
+		if runErr != nil {
+			e.Error = runErr.Error()
+		}
 		add := func(kind, path, key string) {
 			if path == "" {
 				return
@@ -604,9 +615,9 @@ func emitTelemetry(w io.Writer, asJSON bool) error {
 	return nil
 }
 
-// buildRunners maps experiment names to their runner closures. The same
-// table serves the CLI and the hetarchd job runner; ctx carries the run's
-// cancellation and checkpoint scope into every Monte Carlo experiment.
+// buildRunners maps experiment names to their runner closures; ctx carries
+// the run's cancellation and checkpoint scope into every Monte Carlo
+// experiment.
 func buildRunners(ctx context.Context, sc experiments.Scale, seed int64, workers int,
 	stdout, stderr io.Writer, emit func(func() (*experiments.Table, error)) func() error,
 	charStore core.CharacterizationStore) map[string]func() error {
@@ -720,6 +731,5 @@ func writeTraceFile(path string) error {
 func usage(fs *flag.FlagSet, w io.Writer) {
 	fmt.Fprintf(w, "usage: hetarch <%s|all> [flags]\n", strings.Join(allOrder, "|"))
 	fmt.Fprintln(w, "       hetarch runs <list|show|diff|gc> [args]   (audit the run ledger)")
-	fmt.Fprintln(w, "       hetarch serve -data-dir DIR [flags]       (multi-tenant job service; see API.md)")
 	fs.PrintDefaults()
 }

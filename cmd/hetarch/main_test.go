@@ -46,6 +46,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"missing name", nil, exitUsage, "missing experiment name"},
 		{"flag before name", []string{"-quick", "fig9"}, exitUsage, "first argument must be the experiment name"},
 		{"unknown experiment", []string{"fig99"}, exitUsage, `unknown experiment "fig99"`},
+		{"serve is not an experiment", []string{"serve"}, exitUsage, `unknown experiment "serve"`},
+		{"name checked before flags", []string{"serve", "-data-dir", "d"}, exitUsage, `unknown experiment "serve"`},
 		{"zero shots", []string{"fig9", "-shots", "0"}, exitUsage, "-shots must be positive"},
 		{"negative shots", []string{"fig9", "-shots", "-100"}, exitUsage, "-shots must be positive"},
 		{"negative workers", []string{"fig9", "-workers", "-1"}, exitUsage, "-workers must be >= 0"},

@@ -3,8 +3,9 @@
 //	runs list               table of recorded runs (chronological)
 //	runs show <id>          one run's envelope + artifact manifest, with
 //	                        every sha256 digest re-verified against disk
-//	runs diff <a> <b>       compare two runs' recorder artifacts through
-//	                        the internal/obs/diff gates
+//	runs diff <a> <b>       compare two recorder artifacts through the
+//	                        internal/obs/diff gates; each argument is a
+//	                        recorder file or a run ID
 //	runs gc                 prune envelopes whose artifacts are all gone
 //
 // <id> may be any unambiguous run-ID prefix. The ledger file is resolved
@@ -18,6 +19,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 
@@ -30,13 +33,13 @@ func runsUsage(w io.Writer) {
 	fmt.Fprintln(w, `usage: hetarch runs <list|show|diff|gc> [-ledger-dir DIR] [args]
   list               table of recorded runs
   show <id>          envelope + artifact manifest with digest verification
-  diff <old> <new>   compare two runs' recorder artifacts (obs/diff gates)
+  diff <old> <new>   compare two recorder files or runs (obs/diff gates)
   gc [-dry-run]      prune runs whose artifacts are all gone`)
 }
 
 // runsMain dispatches `hetarch runs ...`. Exit codes follow the main
-// command: 0 ok (for diff: no regression), 1 runtime error / failed digest
-// verification / diff regression, 2 usage error.
+// command: 0 ok, 1 runtime error / failed digest verification, 2 usage
+// error. diff has its own: 0 clean, 1 regression, 2 no report.
 func runsMain(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, "hetarch runs: missing subcommand")
@@ -49,36 +52,31 @@ func runsMain(args []string, stdout, stderr io.Writer) int {
 	fs.Usage = func() { runsUsage(stderr) }
 	ledgerDir := fs.String("ledger-dir", "", "run-ledger directory (default $HETARCH_LEDGER_DIR, then ~/.hetarch)")
 	dryRun := fs.Bool("dry-run", false, "gc: report what would be pruned without rewriting the ledger")
-	tol := fs.Float64("tol", 0.2, "diff: allowed relative throughput drop before it counts as a regression")
+	tol := fs.Float64("tol", 0.2, "diff: allowed relative throughput drop before it counts as a regression (0 flags any drop)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return exitUsage
 	}
 	rest := fs.Args()
 
-	dir := *ledgerDir
-	if dir == "" {
-		var ok bool
-		if dir, ok = ledger.DefaultDir(); !ok {
-			fmt.Fprintln(stderr, "hetarch runs: run ledger is disabled (HETARCH_LEDGER_DIR=off); pass -ledger-dir")
+	// diff reads the ledger only for an argument that is not a file, so two
+	// recordings diff with the ledger off.
+	if sub == "diff" {
+		if len(rest) != 2 {
+			fmt.Fprintln(stderr, "hetarch runs diff: want exactly two recorder files or run IDs (old new)")
+			runsUsage(stderr)
 			return exitUsage
 		}
+		if *tol < 0 || math.IsNaN(*tol) {
+			fmt.Fprintf(stderr, "hetarch runs diff: -tol must be >= 0, got %v\n", *tol)
+			runsUsage(stderr)
+			return exitUsage
+		}
+		return runsDiff(stdout, stderr, *ledgerDir, rest[0], rest[1], *tol)
 	}
-	path := filepath.Join(dir, ledger.FileName)
-
-	load := func() (*ledger.Log, int) {
-		lg, err := ledger.ReadFile(path)
-		if err != nil {
-			if isNotExist(err) {
-				fmt.Fprintf(stderr, "hetarch runs: no ledger at %s (no runs recorded yet)\n", path)
-			} else {
-				fmt.Fprintln(stderr, "hetarch runs:", err)
-			}
-			return nil, exitError
-		}
-		if lg.Truncated {
-			fmt.Fprintln(stderr, "hetarch runs: note: ledger ends in a torn record (a run was killed mid-append); it was skipped")
-		}
-		return lg, exitOK
+	path, err := ledgerFile(*ledgerDir)
+	if err != nil {
+		fmt.Fprintln(stderr, "hetarch runs:", err)
+		return exitUsage
 	}
 
 	switch sub {
@@ -101,9 +99,10 @@ func runsMain(args []string, stdout, stderr io.Writer) int {
 			runsUsage(stderr)
 			return exitUsage
 		}
-		lg, code := load()
-		if lg == nil {
-			return code
+		lg, err := readLedger(path, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, "hetarch runs:", err)
+			return exitError
 		}
 		e, err := lg.Find(rest[0])
 		if err != nil {
@@ -111,18 +110,6 @@ func runsMain(args []string, stdout, stderr io.Writer) int {
 			return exitError
 		}
 		return printRunShow(stdout, e)
-
-	case "diff":
-		if len(rest) != 2 {
-			fmt.Fprintln(stderr, "hetarch runs diff: want exactly two run IDs (old new)")
-			runsUsage(stderr)
-			return exitUsage
-		}
-		lg, code := load()
-		if lg == nil {
-			return code
-		}
-		return runsDiff(stdout, stderr, lg, rest[0], rest[1], *tol)
 
 	case "gc":
 		kept, pruned, err := ledger.GC(path, *dryRun)
@@ -152,6 +139,33 @@ func runsMain(args []string, stdout, stderr io.Writer) int {
 }
 
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
+
+// ledgerFile is the ledger file under dir, or under the default directory
+// when dir is empty.
+func ledgerFile(dir string) (string, error) {
+	if dir == "" {
+		var ok bool
+		if dir, ok = ledger.DefaultDir(); !ok {
+			return "", errors.New("run ledger is disabled (HETARCH_LEDGER_DIR=off); pass -ledger-dir")
+		}
+	}
+	return filepath.Join(dir, ledger.FileName), nil
+}
+
+// readLedger reads the ledger at path and notes a torn tail on stderr.
+func readLedger(path string, stderr io.Writer) (*ledger.Log, error) {
+	lg, err := ledger.ReadFile(path)
+	if isNotExist(err) {
+		return nil, fmt.Errorf("no ledger at %s (no runs recorded yet)", path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if lg.Truncated {
+		fmt.Fprintln(stderr, "hetarch runs: note: ledger ends in a torn record (a run was killed mid-append); it was skipped")
+	}
+	return lg, nil
+}
 
 // printRunList renders the chronological run table.
 func printRunList(w io.Writer, lg *ledger.Log) {
@@ -227,46 +241,52 @@ func printRunShow(w io.Writer, e *ledger.Envelope) int {
 	return exitOK
 }
 
-// runsDiff resolves both runs' recorder artifacts and feeds them through
-// the obs/diff comparison gates — the same machinery as cmd/obsdiff, so a
-// ledger-driven regression check and a file-driven one agree exactly.
-func runsDiff(stdout, stderr io.Writer, lg *ledger.Log, oldID, newID string, tol float64) int {
-	recorderOf := func(id string) (string, *ledger.Envelope, error) {
-		e, err := lg.Find(id)
+// runsDiff compares two recorder artifacts through the obs/diff gates. An
+// argument names a recorder file when a regular file exists at that path;
+// otherwise it is a run ID, resolved to the run's recorder artifact through
+// the ledger, which is read only then. It exits 0 when nothing regressed, 1
+// on a regression and 2 when no report can be produced (an unreadable or
+// incomparable artifact, an unknown run, a run without a recorder).
+func runsDiff(stdout, stderr io.Writer, ledgerDir, oldArg, newArg string, tol float64) int {
+	var lg *ledger.Log
+	source := func(arg string) (*diff.Source, error) {
+		if st, err := os.Stat(arg); err == nil && st.Mode().IsRegular() {
+			return diff.Load(arg)
+		}
+		if lg == nil {
+			path, err := ledgerFile(ledgerDir)
+			if err != nil {
+				return nil, fmt.Errorf("%s is not a file, and the %w", arg, err)
+			}
+			if lg, err = readLedger(path, stderr); err != nil {
+				return nil, err
+			}
+		}
+		e, err := lg.Find(arg)
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
 		for _, a := range e.Artifacts {
 			if a.Kind == "recorder" {
-				return a.Path, e, nil
+				return diff.Load(a.Path)
 			}
 		}
-		return "", e, fmt.Errorf("run %s has no recorder artifact (re-run with -record to make it diffable)", e.RunID)
+		return nil, fmt.Errorf("run %s has no recorder artifact (re-run with -record to make it diffable)", e.RunID)
 	}
-	oldPath, _, err := recorderOf(oldID)
+	oldSrc, err := source(oldArg)
 	if err != nil {
 		fmt.Fprintln(stderr, "hetarch runs diff:", err)
-		return exitError
+		return exitUsage
 	}
-	newPath, _, err := recorderOf(newID)
+	newSrc, err := source(newArg)
 	if err != nil {
 		fmt.Fprintln(stderr, "hetarch runs diff:", err)
-		return exitError
+		return exitUsage
 	}
-	oldSrc, err := diff.Load(oldPath)
+	report, err := diff.Compare(oldSrc, newSrc, tol)
 	if err != nil {
 		fmt.Fprintln(stderr, "hetarch runs diff:", err)
-		return exitError
-	}
-	newSrc, err := diff.Load(newPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "hetarch runs diff:", err)
-		return exitError
-	}
-	report, err := diff.Compare(oldSrc, newSrc, diff.Options{Tolerance: tol})
-	if err != nil {
-		fmt.Fprintln(stderr, "hetarch runs diff:", err)
-		return exitError
+		return exitUsage
 	}
 	report.Print(stdout)
 	return report.ExitCode()

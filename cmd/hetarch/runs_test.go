@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,10 +137,11 @@ func TestRunLedgerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunsListDiffGC drives the remaining subcommands over a two-run
-// ledger: list tables both runs, diff routes the recorder artifacts
-// through the obs/diff gates (identical runs: exit 0), and gc prunes a run
-// once its artifacts are deleted.
+// TestRunsListDiffGC drives the remaining subcommands over a ledger of two
+// CLI runs and one envelope of the retired hetarchd job service: list
+// tables all three, show verifies the job's "output" digest, diff routes
+// the recorder artifacts through the obs/diff gates (identical runs: exit
+// 0), and gc prunes a run once its artifacts are deleted.
 func TestRunsListDiffGC(t *testing.T) {
 	dir := t.TempDir()
 	ledgerDir := filepath.Join(dir, "ledger")
@@ -160,21 +162,65 @@ func TestRunsListDiffGC(t *testing.T) {
 	}
 	idA, idB := lg.Envelopes[0].RunID, lg.Envelopes[1].RunID
 
+	// Ledgers on disk may hold envelopes the hetarchd job service wrote:
+	// tool "hetarchd" and an "output" artifact (the job's table).
+	output := filepath.Join(dir, "output.txt")
+	if err := os.WriteFile(output, []byte("fig9 table\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum, size, err := ledger.HashFile(output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobID := runlog.MintID(9)
+	line := fmt.Sprintf(`{"type":"run","run_id":%q,"tool":"hetarchd","experiment":"fig9","scale":"quick",`+
+		`"seed":9,"shots":512,"workers":1,"args":["serve","tenant:alice","fingerprint:0f3a"],`+
+		`"started_at":"2026-01-02T03:04:05Z","status":"ok","metrics":{"shots":90000,"logical_errors":900},`+
+		`"artifacts":[{"kind":"output","path":%q,"sha256":%q,"bytes":%d}]}`+"\n", jobID, output, sum, size)
+	f, err := os.OpenFile(filepath.Join(ledgerDir, ledger.FileName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
 	code, out, _ := runCLI(t, "runs", "list", "-ledger-dir", ledgerDir)
 	if code != exitOK {
 		t.Fatalf("runs list exited %d", code)
 	}
-	if !strings.Contains(out, idA) || !strings.Contains(out, idB) {
-		t.Fatalf("runs list missing run IDs:\n%s", out)
+	for _, id := range []string{idA, idB, jobID} {
+		if !strings.Contains(out, id) {
+			t.Fatalf("runs list missing run ID %s:\n%s", id, out)
+		}
+	}
+	code, out, errOut := runCLI(t, "runs", "show", "-ledger-dir", ledgerDir, jobID)
+	if code != exitOK || !strings.Contains(out, "hetarchd serve") || !strings.Contains(out, "verification ok") {
+		t.Fatalf("runs show of a hetarchd envelope exited %d: %s\n%s", code, errOut, out)
 	}
 
 	// Generous throughput tolerance: the two seed runs are sub-second, so
 	// wall-clock noise swamps the shots/sec comparison; what this test pins
 	// is the plumbing (ledger -> recorder artifacts -> diff gates) and the
 	// error-rate CI gate, which is deterministic.
-	code, out, errOut := runCLI(t, "runs", "diff", "-ledger-dir", ledgerDir, "-tol", "0.95", idA, idB)
+	code, out, errOut = runCLI(t, "runs", "diff", "-ledger-dir", ledgerDir, "-tol", "0.95", idA, idB)
 	if code != exitOK {
 		t.Fatalf("runs diff of identical runs exited %d: %s\n%s", code, errOut, out)
+	}
+	// A file and a run ID mix; an unknown run or one without a recorder
+	// artifact yields no report (exit 2).
+	for _, tc := range []struct {
+		old, new string
+		want     int
+	}{
+		{recA, idB, exitOK},
+		{idA, "nosuchrun", exitUsage},
+		{idA, jobID, exitUsage},
+	} {
+		if code, out, errOut = runCLI(t, "runs", "diff", "-ledger-dir", ledgerDir, "-tol", "0.95", tc.old, tc.new); code != tc.want {
+			t.Fatalf("runs diff %s %s exited %d, want %d: %s\n%s", tc.old, tc.new, code, tc.want, errOut, out)
+		}
 	}
 
 	// Delete run A's only artifact: gc must prune exactly that envelope.
@@ -192,9 +238,95 @@ func TestRunsListDiffGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lg.Envelopes) != 1 || lg.Envelopes[0].RunID != idB {
+	if len(lg.Envelopes) != 2 || lg.Envelopes[0].RunID != idB || lg.Envelopes[1].RunID != jobID {
 		t.Fatalf("post-gc ledger wrong: %d envelopes", len(lg.Envelopes))
 	}
+}
+
+// writeRecorderRun writes a quick-scale recorder artifact with one batch of
+// 90000 shots and 900 errors; wall sets the batch's throughput.
+func writeRecorderRun(t *testing.T, dir, name, experiment string, wall float64) string {
+	t.Helper()
+	var buf bytes.Buffer
+	w := recorder.NewWriter(&buf)
+	if err := w.WriteHeader(recorder.NewHeader("hetarch", experiment, "quick", 1, 1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(recorder.Batch{
+		Name: experiment, WallSeconds: wall, Shots: 90000, Errors: 900, TotalShots: 90000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunsDiffFiles: `runs diff` over two recorder files needs no ledger,
+// and exits 0 when nothing regressed, 1 on a regression and 2 when no
+// report can be produced.
+func TestRunsDiffFiles(t *testing.T) {
+	t.Setenv(ledger.EnvDir, ledger.Off)
+	dir := t.TempDir()
+	base := writeRecorderRun(t, dir, "base.jsonl", "fig9", 0.1)
+	same := writeRecorderRun(t, dir, "same.jsonl", "fig9", 0.101)
+	slow := writeRecorderRun(t, dir, "slow.jsonl", "fig9", 0.25)
+	other := writeRecorderRun(t, dir, "other.jsonl", "table3", 0.1)
+	garbage := filepath.Join(dir, "garbage")
+	if err := os.WriteFile(garbage, []byte("not an artifact"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name string
+		args []string
+		want int
+		out  string // substring expected on stdout
+	}{
+		{"no regression", []string{base, same}, exitOK, "0 regression(s)"},
+		{"throughput regression", []string{base, slow}, 1, "REGRESSION"},
+		{"zero tolerance flags a 1% drop", []string{"-tol", "0", base, same}, 1, "REGRESSION"},
+		{"report-only is not a flag", []string{"-report-only", base, slow}, exitUsage, ""},
+		{"incomparable artifacts", []string{base, other}, exitUsage, ""},
+		{"unreadable artifact", []string{base, garbage}, exitUsage, ""},
+		{"missing file", []string{base, filepath.Join(dir, "missing")}, exitUsage, ""},
+		{"usage: too few args", []string{base}, exitUsage, ""},
+		{"usage: bad flag", []string{"-no-such-flag", base, same}, exitUsage, ""},
+		{"usage: negative tol", []string{"-tol", "-0.1", base, same}, exitUsage, ""},
+		{"usage: NaN tol", []string{"-tol", "NaN", base, same}, exitUsage, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, errOut := runCLI(t, append([]string{"runs", "diff"}, tc.args...)...)
+			if code != tc.want {
+				t.Fatalf("runs diff %v = %d, want %d\nstdout: %s\nstderr: %s", tc.args, code, tc.want, out, errOut)
+			}
+			if !strings.Contains(out, tc.out) {
+				t.Fatalf("runs diff %v: stdout missing %q:\n%s", tc.args, tc.out, out)
+			}
+		})
+	}
+}
+
+// TestRunsDiffReportMentionsRegression: the report flags the regressed
+// batch by name on a REGRESSION line.
+func TestRunsDiffReportMentionsRegression(t *testing.T) {
+	t.Setenv(ledger.EnvDir, ledger.Off)
+	dir := t.TempDir()
+	base := writeRecorderRun(t, dir, "base.jsonl", "fig9", 0.1)
+	slow := writeRecorderRun(t, dir, "slow.jsonl", "fig9", 0.25)
+	code, out, errOut := runCLI(t, "runs", "diff", base, slow)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstderr: %s", code, errOut)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "REGRESSION") && strings.Contains(line, "fig9") {
+			return
+		}
+	}
+	t.Fatalf("report does not flag the fig9 regression:\n%s", out)
 }
 
 // TestRunsUsageErrors: bad invocations are usage errors (exit 2).

@@ -1,37 +1,16 @@
-// The run scope both front ends share: one experiment run, whether a
-// one-shot `hetarch <experiment>` invocation or a hetarchd job, is
-// described by a jobs.Spec, metered by one runMeter bound on its context,
-// journaled through the same ledger opener, and stamped into the ledger by
-// the same envelope constructor.
+// The run scope of one `hetarch <experiment>` invocation: one runMeter
+// bound on its context tallies the run's shots, and openLedger resolves the
+// run ledger the invocation's envelope is appended to.
 package main
 
 import (
 	"log/slog"
-	"runtime"
 	"sync/atomic"
-	"time"
 
-	"hetarch/internal/bench"
-	"hetarch/internal/experiments"
-	"hetarch/internal/jobs"
 	"hetarch/internal/mc"
 	"hetarch/internal/obs/ledger"
 	"hetarch/internal/obs/runlog"
 )
-
-// scaleOf is the experiment scale a spec asks for: the quick or full
-// preset with the spec's shot override and worker count.
-func scaleOf(spec jobs.Spec) experiments.Scale {
-	sc := experiments.Full()
-	if spec.Scale == jobs.ScaleQuick {
-		sc = experiments.Quick()
-	}
-	if spec.Shots > 0 {
-		sc.Shots = spec.Shots
-	}
-	sc.Workers = spec.Workers
-	return sc
-}
 
 // runMeter is a run's one shot tally. Bound with mc.WithCheckpoint, it
 // sees every shard the run's Monte Carlo accounts for, executed fresh or
@@ -40,10 +19,9 @@ func scaleOf(spec jobs.Spec) experiments.Scale {
 // bit-identical; without one it persists nothing and every lookup misses.
 // cp must be a nil interface, not a typed nil, when there is no store.
 type runMeter struct {
-	cp       mc.Checkpoint
-	progress func(int64) // optional per-shard hook (a job's SSE stream)
-	shots    atomic.Int64
-	errs     atomic.Int64
+	cp    mc.Checkpoint
+	shots atomic.Int64
+	errs  atomic.Int64
 }
 
 func (m *runMeter) Lookup(key mc.RunKey, sh mc.Shard) (mc.Tally, bool) {
@@ -70,14 +48,6 @@ func (m *runMeter) Record(key mc.RunKey, sh mc.Shard, t mc.Tally) error {
 func (m *runMeter) count(t mc.Tally) {
 	m.shots.Add(t.Shots)
 	m.errs.Add(t.Errors)
-	if m.progress != nil {
-		m.progress(t.Shots)
-	}
-}
-
-// headline folds the tally so far into the run's ledger headline.
-func (m *runMeter) headline(wallSeconds float64) *ledger.Headline {
-	return ledger.NewHeadline(m.shots.Load(), m.errs.Load(), wallSeconds)
 }
 
 // openLedger opens the run ledger: dir when given ("off" disables), else
@@ -102,32 +72,4 @@ func openLedger(dir string, lg *slog.Logger) (*ledger.Ledger, error) {
 		return nil, nil
 	}
 	return l, err
-}
-
-// newEnvelope is the ledger envelope of a finished run, built alike by both
-// front ends: the spec, the outcome, the meter's tally as headline, and
-// the build identity of this binary. Callers add the args, the resume
-// provenance and the artifact manifest.
-func newEnvelope(tool, id string, spec jobs.Spec, start time.Time, status string, runErr error, meter *runMeter) ledger.Envelope {
-	wall := time.Since(start).Seconds()
-	e := ledger.Envelope{
-		RunID:       id,
-		Tool:        tool,
-		Experiment:  spec.Experiment,
-		Scale:       spec.Scale,
-		Seed:        spec.Seed,
-		Shots:       spec.Shots,
-		Workers:     mc.ResolveWorkers(spec.Workers),
-		GoVersion:   runtime.Version(),
-		StartedAt:   start.UTC().Format(time.RFC3339),
-		EndedAt:     time.Now().UTC().Format(time.RFC3339),
-		WallSeconds: wall,
-		Status:      status,
-		Metrics:     meter.headline(wall),
-	}
-	e.GitRevision, e.GitDirty = bench.VCSRevision()
-	if runErr != nil {
-		e.Error = runErr.Error()
-	}
-	return e
 }

@@ -1,7 +1,7 @@
 // Package jsonl owns the crash policy of every file hetarch keeps across
-// processes: the append-only JSONL logs (run ledger, job journal, mc
-// checkpoint, flight recorder) and the files replaced whole (dse cache
-// entries, finalized recorder artifacts, daemon outputs).
+// processes: the append-only JSONL logs (run ledger, mc checkpoint, flight
+// recorder) and the files replaced whole (dse cache entries, finalized
+// recorder artifacts).
 //
 // The policy:
 //

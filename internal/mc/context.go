@@ -126,8 +126,8 @@ type RunKey struct {
 // ckptScope is a context-scoped checkpoint binding: the store plus its own
 // run-sequence counter, so two experiments running concurrently in one
 // process each number their sub-runs 0, 1, 2, ... exactly as a solo run
-// would — the property that makes a job's checkpoint resumable regardless
-// of what else the process was executing at the time.
+// would — the property that makes each scope's checkpoint resumable
+// regardless of what else the process was executing at the time.
 type ckptScope struct {
 	cp  Checkpoint
 	seq atomic.Int64

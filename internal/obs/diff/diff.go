@@ -3,7 +3,7 @@
 // support: throughput drops beyond a relative tolerance, and logical-error-
 // rate increases whose Wilson confidence intervals do not overlap.
 //
-// It is the regression gate cmd/obsdiff wraps for CI: exit 0 when nothing
+// It is the regression gate behind `hetarch runs diff`: exit 0 when nothing
 // regressed, 1 on a regression, 2 when the artifacts are incomparable.
 package diff
 
@@ -78,25 +78,8 @@ func Parse(r io.Reader, path string) (*Source, error) {
 	return s, nil
 }
 
-// Options tunes the comparison.
-type Options struct {
-	// Tolerance is the allowed relative throughput drop (0.2 = new may be
-	// up to 20% slower before it counts as a regression). Defaults to 0.2.
-	Tolerance float64
-	// Confidence is the Wilson CI level for error-rate comparison.
-	// Defaults to 0.95.
-	Confidence float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.2
-	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
-	}
-	return o
-}
+// confidence is the Wilson CI level of the error-rate comparison.
+const confidence = 0.95
 
 // Finding is one compared metric.
 type Finding struct {
@@ -114,7 +97,7 @@ type Report struct {
 	Regressions int
 }
 
-// ExitCode maps the report onto cmd/obsdiff's exit-code contract:
+// ExitCode maps the report onto the `runs diff` exit-code contract:
 // 0 clean, 1 regression.
 func (r *Report) ExitCode() int {
 	if r.Regressions > 0 {
@@ -137,11 +120,12 @@ func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "compared %d metrics, %d regression(s)\n", r.Compared, r.Regressions)
 }
 
-// Compare diffs new against old. It returns an error — the "incomparable"
+// Compare diffs new against old. tolerance is the allowed relative
+// throughput drop (0.2 = new may be up to 20% slower before it counts as a
+// regression; 0 flags any drop). It returns an error — the "incomparable"
 // outcome — when the artifacts declare different scales or share no metric
 // at all.
-func Compare(old, new *Source, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
+func Compare(old, new *Source, tolerance float64) (*Report, error) {
 	if old.Scale != "" && new.Scale != "" && old.Scale != new.Scale {
 		return nil, fmt.Errorf("incomparable: %s is %s-scale, %s is %s-scale",
 			old.Path, old.Scale, new.Path, new.Scale)
@@ -160,10 +144,10 @@ func Compare(old, new *Source, opts Options) (*Report, error) {
 	for _, name := range commonKeys(old.Throughput, new.Throughput) {
 		o, n := old.Throughput[name], new.Throughput[name]
 		f := Finding{Metric: "throughput", Name: name, Old: o, New: n}
-		if n < o*(1-opts.Tolerance) {
+		if n < o*(1-tolerance) {
 			f.Regression = true
 			f.Detail = fmt.Sprintf("dropped %.1f%% (> %.0f%% tolerance)%s",
-				100*(1-n/o), 100*opts.Tolerance, workersNote)
+				100*(1-n/o), 100*tolerance, workersNote)
 		} else {
 			f.Detail = fmt.Sprintf("%+.1f%%%s", 100*(n/o-1), workersNote)
 		}
@@ -172,8 +156,8 @@ func Compare(old, new *Source, opts Options) (*Report, error) {
 
 	for _, name := range commonRateKeys(old.ErrorRates, new.ErrorRates) {
 		o, n := old.ErrorRates[name], new.ErrorRates[name]
-		oCI := stats.BinomialCI(o.Errors, o.Shots, opts.Confidence)
-		nCI := stats.BinomialCI(n.Errors, n.Shots, opts.Confidence)
+		oCI := stats.BinomialCI(o.Errors, o.Shots, confidence)
+		nCI := stats.BinomialCI(n.Errors, n.Shots, confidence)
 		f := Finding{Metric: "error-rate", Name: name, Old: o.Value(), New: n.Value()}
 		if nCI.Lo > oCI.Hi {
 			f.Regression = true

@@ -32,9 +32,9 @@ func writeRecorderRun(t *testing.T, dir, name, scale string, shots, errors int64
 func TestCompareBenchNoRegression(t *testing.T) {
 	dir := t.TempDir()
 	old := mustLoad(t, writeRecorderRun(t, dir, "old.jsonl", "quick", 90000, 900, 0.1))
-	// -5% throughput: inside the default 20% tolerance.
+	// -5% throughput: inside a 20% tolerance.
 	new := mustLoad(t, writeRecorderRun(t, dir, "new.jsonl", "quick", 90000, 900, 0.1/0.95))
-	rep, err := Compare(old, new, Options{})
+	rep, err := Compare(old, new, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCompareBenchThroughputRegression(t *testing.T) {
 	dir := t.TempDir()
 	old := mustLoad(t, writeRecorderRun(t, dir, "old.jsonl", "quick", 90000, 900, 0.1))
 	new := mustLoad(t, writeRecorderRun(t, dir, "new.jsonl", "quick", 90000, 900, 0.2)) // -50%
-	rep, err := Compare(old, new, Options{Tolerance: 0.2})
+	rep, err := Compare(old, new, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +61,27 @@ func TestCompareBenchThroughputRegression(t *testing.T) {
 	}
 }
 
+// TestCompareZeroToleranceFlagsAnyDrop: a tolerance of 0 is taken as
+// given, not replaced by a default, so a run 5% slower regresses.
+func TestCompareZeroToleranceFlagsAnyDrop(t *testing.T) {
+	dir := t.TempDir()
+	old := mustLoad(t, writeRecorderRun(t, dir, "old.jsonl", "quick", 90000, 900, 0.1))
+	new := mustLoad(t, writeRecorderRun(t, dir, "new.jsonl", "quick", 90000, 900, 0.1/0.95))
+	rep, err := Compare(old, new, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Regressions != 1 || rep.ExitCode() != 1 {
+		t.Fatalf("a 5%% throughput drop at tolerance 0 was not flagged: %+v", rep)
+	}
+}
+
 func TestCompareRecorderErrorRateRegression(t *testing.T) {
 	dir := t.TempDir()
 	// 1% error rate vs 5%: Wilson CIs at n=20000 are far apart.
 	old := mustLoad(t, writeRecorderRun(t, dir, "old.jsonl", "quick", 20000, 200, 0.5))
 	new := mustLoad(t, writeRecorderRun(t, dir, "new.jsonl", "quick", 20000, 1000, 0.5))
-	rep, err := Compare(old, new, Options{})
+	rep, err := Compare(old, new, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +99,7 @@ func TestCompareRecorderErrorRateRegression(t *testing.T) {
 	}
 	// Same counts within shot noise: no regression.
 	newOK := mustLoad(t, writeRecorderRun(t, dir, "new2.jsonl", "quick", 20000, 210, 0.5))
-	rep, err = Compare(old, newOK, Options{})
+	rep, err = Compare(old, newOK, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +112,7 @@ func TestCompareIncomparable(t *testing.T) {
 	dir := t.TempDir()
 	quick := mustLoad(t, writeRecorderRun(t, dir, "q.jsonl", "quick", 100, 1, 0.1))
 	full := mustLoad(t, writeRecorderRun(t, dir, "f.jsonl", "full", 100, 1, 0.1))
-	if _, err := Compare(quick, full, Options{}); err == nil {
+	if _, err := Compare(quick, full, 0.2); err == nil {
 		t.Fatal("different scales must be incomparable")
 	}
 
@@ -106,7 +121,7 @@ func TestCompareIncomparable(t *testing.T) {
 	other.Throughput = map[string]float64{"table3": 1000}
 	other.ErrorRates = map[string]Rate{"table3": {Errors: 1, Shots: 100}}
 	mine := mustLoad(t, writeRecorderRun(t, dir, "m.jsonl", "quick", 100, 1, 0.1))
-	if _, err := Compare(other, mine, Options{}); err == nil {
+	if _, err := Compare(other, mine, 0.2); err == nil {
 		t.Fatal("disjoint metrics must be incomparable")
 	}
 }

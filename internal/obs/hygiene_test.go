@@ -18,10 +18,6 @@ import (
 	// experiments does not reach (only the CLI wires the run ledger in).
 	_ "hetarch/internal/obs/ledger"
 	_ "hetarch/internal/obs/recorder"
-
-	// Register the jobs.* metrics and events (only the `hetarch serve`
-	// daemon reaches the job service).
-	_ "hetarch/internal/jobs"
 )
 
 // metricName is the registry's naming convention: a lowercase package
@@ -130,7 +126,7 @@ func TestEventNameHygiene(t *testing.T) {
 	if !prefixes["run"] {
 		t.Errorf("run.* lifecycle events missing from the registry: %v", events)
 	}
-	for _, want := range []string{"ledger", "recorder", "jobs"} {
+	for _, want := range []string{"ledger", "recorder"} {
 		if !prefixes[want] {
 			t.Errorf("%s.* events missing — is the blank import gone?", want)
 		}

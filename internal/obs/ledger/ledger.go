@@ -4,8 +4,8 @@
 // seed, workers, git revision), its outcome (start/end, exit status,
 // headline metrics with Wilson CIs), and a manifest of every artifact the
 // run wrote — flight-recorder journal, checkpoint, Chrome trace, cache
-// entries, hetarchd job outputs — each with a SHA-256 digest so provenance
-// can be verified after the fact (`hetarch runs show`).
+// entries — each with a SHA-256 digest so provenance can be verified after
+// the fact (`hetarch runs show`).
 //
 // The file follows the append-only line discipline of internal/jsonl:
 // every envelope is one newline-terminated line written with a single
@@ -89,8 +89,9 @@ func DefaultDir() (string, bool) {
 // Artifact is one file a run wrote, with enough to find and verify it.
 type Artifact struct {
 	// Kind is the producer: "recorder", "checkpoint", "trace", "cache",
-	// or "output" (a hetarchd job's table). Only `runs diff` branches on
-	// it, to find the recorder; every kind lists and verifies alike.
+	// or, in older ledgers, "output" (a table the retired hetarchd job
+	// service wrote). Only `runs diff` branches on it, to find the
+	// recorder; every kind lists and verifies alike.
 	Kind string `json:"kind"`
 	Path string `json:"path"`
 	// Key is the content address for cache entries (the dse/cache key the

@@ -13,7 +13,7 @@
 //	{"type":"final",  ...}   at most one, last line
 //
 // Unknown types are skipped on read, so future fields and record kinds
-// stay backward-compatible with older readers (cmd/obsdiff).
+// stay backward-compatible with older readers (`hetarch runs diff`).
 package recorder
 
 import (
@@ -60,7 +60,7 @@ type Header struct {
 	NumCPU      int      `json:"num_cpu"`
 	// Workers is the mc engine's worker count for the run (0 in artifacts
 	// predating the sharded engine). It never affects results, only
-	// throughput, so obsdiff treats runs at different worker counts as
+	// throughput, so `runs diff` treats runs at different worker counts as
 	// comparable but annotates the difference.
 	Workers   int    `json:"workers,omitempty"`
 	StartedAt string `json:"started_at"` // RFC3339
@@ -166,7 +166,7 @@ func CreateFile(path string) (*FileWriter, error) {
 
 // FinalizeAtomic writes the final record atomically: the artifact journaled
 // so far plus the final line replace the original via jsonl.WriteFile. A
-// reader (cmd/obsdiff) therefore sees either a final-less in-flight
+// reader (`hetarch runs diff`) therefore sees either a final-less in-flight
 // artifact or a complete one — never a torn final snapshot — even if the
 // process dies mid-write. The writer is unusable afterwards.
 func (w *FileWriter) FinalizeAtomic(fin Final) error {

@@ -1,6 +1,5 @@
-// Package serve exposes the obs telemetry substrate over HTTP: the live
-// telemetry surface a production-scale DSE service needs while a long sweep
-// is in flight. Endpoints:
+// Package serve exposes the obs telemetry substrate over HTTP while a run
+// is in flight (`hetarch -listen ADDR`). Endpoints:
 //
 //	/metrics        Prometheus text exposition of the metric registry
 //	                (counters, gauges, histograms with cumulative buckets)
@@ -11,8 +10,6 @@
 //	                Event JSON — save and open in Perfetto/chrome://tracing
 //	/runs           the run ledger's envelopes as JSON (args, status,
 //	                headline metrics, artifact manifest per past run)
-//	/jobs, /jobs/*  the experiment job service (internal/jobs) when the
-//	                daemon runs in serve mode; see API.md
 //	/debug/pprof/*  the standard net/http/pprof handlers
 //	/               plain-text index of the above
 //
@@ -53,11 +50,6 @@ type Options struct {
 	// LedgerPath is the run-ledger file behind /runs ("" disables the
 	// endpoint).
 	LedgerPath string
-
-	// Jobs is the job-service API handler (internal/jobs) mounted under
-	// /jobs when the daemon runs in serve mode; nil (the CLI one-shot
-	// modes) responds 404 with a hint.
-	Jobs http.Handler
 }
 
 // jsonError writes a machine-parseable error body, so scripts curling an
@@ -82,19 +74,8 @@ func Handler(opts Options) http.Handler {
 		fmt.Fprintln(w, "  /progress        heartbeat JSON (?sse=1 for an SSE stream)")
 		fmt.Fprintln(w, "  /trace           flight-profiler Chrome Trace JSON (open in Perfetto)")
 		fmt.Fprintln(w, "  /runs            run-ledger envelopes JSON (past runs + artifact manifests)")
-		if opts.Jobs != nil {
-			fmt.Fprintln(w, "  /jobs            experiment job service (POST to submit; see API.md)")
-		}
 		fmt.Fprintln(w, "  /debug/pprof/    go profiling endpoints")
 	})
-	jobsHandler := opts.Jobs
-	if jobsHandler == nil {
-		jobsHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			jsonError(w, http.StatusNotFound, "no job service (run `hetarch serve`)")
-		})
-	}
-	mux.Handle("/jobs", jobsHandler)
-	mux.Handle("/jobs/", jobsHandler)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if opts.Registry == nil {
 			http.Error(w, "no metric registry", http.StatusServiceUnavailable)

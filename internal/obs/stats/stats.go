@@ -5,8 +5,8 @@
 //
 // The paper reports headline reduction factors (2.6x/10.7x/3.0x) from
 // sampled error rates; attaching an interval to each estimate is what makes
-// those factors auditable — and what lets cmd/obsdiff distinguish a real
-// regression from shot noise.
+// those factors auditable — and what lets `hetarch runs diff` distinguish a
+// real regression from shot noise.
 package stats
 
 import "math"
