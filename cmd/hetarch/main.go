@@ -4,10 +4,10 @@
 // Usage:
 //
 //	hetarch <experiment> [-quick] [-seed N] [-shots N] [-json] [-metrics]
-//	        [-progress] [-listen ADDR] [-record FILE] [-checkpoint FILE]
-//	        [-cache-dir DIR] [-cpuprofile FILE] [-memprofile FILE]
-//	        [-trace-out FILE] [-trace-sample N] [-log-format text|json]
-//	        [-ledger-dir DIR] [-timeout D]
+//	        [-progress] [-record FILE] [-checkpoint FILE] [-cache-dir DIR]
+//	        [-cpuprofile FILE] [-memprofile FILE] [-trace-out FILE]
+//	        [-trace-sample N] [-log-format text|json] [-ledger-dir DIR]
+//	        [-timeout D]
 //	hetarch runs <list|show|diff|gc> [args]
 //
 // where experiment is one of: devices (Table 1), cells (Table 2), fig3,
@@ -28,12 +28,9 @@
 // trace written, ...) go to stderr through log/slog — logfmt-style text by
 // default, one JSON object per line under -log-format json.
 //
-// -listen serves live telemetry over HTTP while the run is in flight:
-// /metrics (Prometheus text), /progress (JSON, or SSE with ?sse=1), /trace
-// (flight-profiler download), /runs and /debug/pprof. -record journals the
-// run to a JSONL flight-recorder artifact (config, seeds, git revision,
-// per-batch counts, final metrics) that `hetarch runs diff` can diff
-// against a baseline.
+// -record journals the run to a JSONL flight-recorder artifact (config,
+// seeds, git revision, per-batch counts, final metrics) that `hetarch runs
+// diff` can diff against a baseline.
 //
 // -trace-out arms the engine flight profiler: Monte Carlo shard phases
 // (queue wait, execution, sample/decode sub-phases, merge) and DSE point
@@ -42,12 +39,10 @@
 // tracing cannot perturb results — next to unsampled wall-time events for
 // each experiment and table row on a "run" track, and written as Chrome
 // Trace Event JSON, which opens directly in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing. Any telemetry flag
-// (-metrics, -listen, -record, -trace-out) also polls runtime/metrics
-// (heap, GC pauses, goroutines, scheduling latency) into runtime.* gauges.
-//
-// -cpuprofile conflicts with -listen (the live /debug/pprof/profile
-// endpoint would double-start the CPU profile); use one or the other.
+// (https://ui.perfetto.dev) or chrome://tracing. -metrics and -record also
+// sample runtime/metrics (heap, GC pauses, goroutines, scheduling latency)
+// into runtime.* gauges once, at the end of the run, so the final snapshot
+// carries them.
 //
 // -checkpoint makes the run resumable: completed Monte Carlo shards are
 // persisted to the given JSONL file, and an interrupted run (SIGINT/SIGTERM)
@@ -98,7 +93,6 @@ import (
 	"hetarch/internal/obs/recorder"
 	"hetarch/internal/obs/runlog"
 	"hetarch/internal/obs/runtimemetrics"
-	"hetarch/internal/obs/serve"
 	"hetarch/internal/obs/trace"
 )
 
@@ -129,7 +123,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit table experiments as JSON (for plotting scripts)")
 	metrics := fs.Bool("metrics", false, "print telemetry (the metric registry snapshot) to stderr after the run")
 	progress := fs.Bool("progress", false, "heartbeat on stderr with shots/sec and ETA")
-	listen := fs.String("listen", "", "serve live telemetry over HTTP on `addr` (/metrics, /progress, /trace, /runs, /debug/pprof)")
 	record := fs.String("record", "", "journal the run to a JSONL flight-recorder artifact at `file`")
 	ckptPath := fs.String("checkpoint", "", "persist completed Monte Carlo shards to `file`; rerunning with the same flags resumes")
 	cacheDir := fs.String("cache-dir", "", "persist standard-cell characterizations to `dir`; warm runs of dse/cells skip density-matrix simulation")
@@ -196,18 +189,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		usage(fs, stderr)
 		return exitUsage
 	}
-	if traceSampleSet && *traceOut == "" && *listen == "" {
-		fmt.Fprintln(stderr, "hetarch: -trace-sample has no effect without -trace-out or -listen")
-		usage(fs, stderr)
-		return exitUsage
-	}
-	// Profiling flags must compose without double-starting a profile: the
-	// -listen server exposes /debug/pprof/profile, which calls
-	// pprof.StartCPUProfile and would fail (or be failed by) a -cpuprofile
-	// already running for the whole process. Heap profiles are snapshots,
-	// so -memprofile composes fine.
-	if *cpuprofile != "" && *listen != "" {
-		fmt.Fprintln(stderr, "hetarch: -cpuprofile and -listen are mutually exclusive: the live /debug/pprof/profile endpoint would double-start the CPU profile; drop one of the two (with -listen, fetch /debug/pprof/profile instead)")
+	if traceSampleSet && *traceOut == "" {
+		fmt.Fprintln(stderr, "hetarch: -trace-sample has no effect without -trace-out")
 		usage(fs, stderr)
 		return exitUsage
 	}
@@ -247,16 +230,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hetarch: ledger-dir:", err)
 		return exitError
 	}
-	var ledgerPath string
 	if led != nil {
-		ledgerPath = led.Path()
 		defer led.Close()
 	}
 
 	// SIGINT/SIGTERM cancel the run context: the mc engine stops dispatching
 	// shards, in-flight shards finish (and checkpoint), and the run winds
-	// down through the same path as a normal exit — recorder flushed, server
-	// drained, heartbeat stopped.
+	// down through the same path as a normal exit — recorder flushed,
+	// heartbeat stopped.
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	// The whole-run deadline rides the same cancellation path as a signal:
@@ -281,61 +262,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	// The flight profiler records into a fresh buffer per run. -listen arms
-	// it too, so the /trace endpoint serves live data; sampling is by
-	// shard/point index, so an armed profiler never changes results.
-	if *traceOut != "" || *listen != "" {
+	// The flight profiler records into a fresh buffer per run; sampling is
+	// by shard/point index, so an armed profiler never changes results.
+	if *traceOut != "" {
 		trace.Default.Enable(trace.DefaultCapacity, *traceSample)
 		trace.Default.SetRunID(runID)
 		defer trace.Default.Disable()
-	}
-	// Runtime telemetry (heap, GC pauses, goroutines, sched latency) rides
-	// along with every telemetry surface, so /metrics scrapes and the
-	// recorder's final snapshot can separate kernel cost from GC/alloc
-	// behavior.
-	var rtPoller *runtimemetrics.Poller
-	if *metrics || *listen != "" || *record != "" || *traceOut != "" {
-		rtPoller = runtimemetrics.Start(obs.Default, time.Second)
-		defer rtPoller.Stop()
 	}
 	// The run's one shot tally. It is bound under mc.WithCheckpoint below,
 	// wrapping the -checkpoint store when there is one.
 	meter := &runMeter{}
 
-	// The heartbeat also feeds /progress, so a listen-only run keeps it
-	// ticking silently. Stop is idempotent: the deferred call guards every
-	// early error return, the explicit one below sequences the final summary
-	// line before the telemetry output.
+	// -progress ticks the heartbeat on stderr. Stop is idempotent: the
+	// deferred call guards every early error return, the explicit one below
+	// sequences the final summary line before the telemetry output.
 	var hb *obs.Heartbeat
-	if *progress || *listen != "" {
-		hbOut := io.Writer(io.Discard)
-		if *progress {
-			hbOut = stderr
-		}
-		hb = obs.StartHeartbeat(hbOut, 2*time.Second, experiments.ApproxShots(name, sc), meter.shots.Load)
+	if *progress {
+		hb = obs.StartHeartbeat(stderr, 2*time.Second, experiments.ApproxShots(name, sc), meter.shots.Load)
 		defer hb.Stop()
-	}
-
-	if *listen != "" {
-		srv, err := serve.Start(*listen, serve.Options{
-			Registry:   obs.Default,
-			Heartbeat:  hb,
-			Trace:      trace.Default,
-			LedgerPath: ledgerPath,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "hetarch: listen:", err)
-			return exitError
-		}
-		// Graceful drain: SSE subscribers are disconnected, in-flight
-		// requests get up to 2s, then the server closes hard.
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-		}()
-		lg.Info(runlog.EvTelemetryListen, "url", "http://"+srv.Addr()+"/",
-			"endpoints", "metrics,progress,trace,runs,debug/pprof")
 	}
 
 	// resumedFrom is the interrupted run whose checkpoint this run adopted
@@ -496,10 +440,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else {
 		runErr = runOne(name)
 	}
-	if rtPoller != nil {
-		// Final runtime sample before any snapshot is taken, so the
-		// recorder's final record carries end-of-run allocation state.
-		rtPoller.Stop()
+	if *metrics || rec != nil {
+		// One runtime sample before the final snapshot is read: every
+		// runtime.* gauge is cumulative or an end-of-run value.
+		runtimemetrics.Sample(obs.Default)
 	}
 	if rec != nil {
 		final := recorder.Final{

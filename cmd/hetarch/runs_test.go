@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"hetarch/internal/obs"
 	"hetarch/internal/obs/ledger"
 	"hetarch/internal/obs/recorder"
 	"hetarch/internal/obs/runlog"
@@ -27,7 +29,8 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 // -record -checkpoint -trace-out yields artifacts that all embed the same
 // run ID, the ledger envelope manifests them with digests, `runs show`
 // verifies every digest, and a bit-flipped artifact fails verification
-// with a non-zero exit.
+// with a non-zero exit. The recorder's final record carries the run's
+// end-of-run runtime.* gauges.
 func TestRunLedgerEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	ledgerDir := filepath.Join(dir, "ledger")
@@ -35,6 +38,7 @@ func TestRunLedgerEndToEnd(t *testing.T) {
 	ck := filepath.Join(dir, "ck.jsonl")
 	tr := filepath.Join(dir, "trace.json")
 
+	allocBefore := obs.Default.Snapshot().Gauge("runtime.total_alloc_bytes")
 	code, _, errOut := runCLI(t, "fig9", "-quick", "-shots", "512", "-seed", "7",
 		"-record", rec, "-checkpoint", ck, "-trace-out", tr, "-ledger-dir", ledgerDir)
 	if code != exitOK {
@@ -80,6 +84,28 @@ func TestRunLedgerEndToEnd(t *testing.T) {
 	}
 	if recRun.Header.RunID != e.RunID {
 		t.Fatalf("recorder header run_id = %q, envelope %q", recRun.Header.RunID, e.RunID)
+	}
+	if recRun.Final == nil {
+		t.Fatal("recorder artifact has no final record")
+	}
+	gauges := recRun.Final.Metrics.Gauges
+	for _, name := range []string{
+		"runtime.heap_alloc_bytes", "runtime.total_alloc_bytes", "runtime.mallocs",
+		"runtime.gc_cycles", "runtime.goroutines", "runtime.gomaxprocs",
+		"runtime.gc_pause_p50_ns", "runtime.gc_pause_p99_ns",
+		"runtime.sched_latency_p50_ns", "runtime.sched_latency_p99_ns",
+	} {
+		if _, ok := gauges[name]; !ok {
+			t.Errorf("final record lacks gauge %s", name)
+		}
+	}
+	if got, want := gauges["runtime.gomaxprocs"], float64(runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("final record runtime.gomaxprocs = %v, want %v", got, want)
+	}
+	// The registry is process-wide, so an earlier run may have set these
+	// gauges; a cumulative one that grew proves this run sampled them.
+	if got := gauges["runtime.total_alloc_bytes"]; got <= allocBefore {
+		t.Errorf("final record runtime.total_alloc_bytes = %v, not above the %v before the run", got, allocBefore)
 	}
 	ckData, err := os.ReadFile(ck)
 	if err != nil {
@@ -134,6 +160,63 @@ func TestRunLedgerEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out, "mismatch") {
 		t.Fatalf("runs show did not flag the tampered artifact:\n%s", out)
+	}
+}
+
+// TestRunsFromAnotherDirectory: the default ledger is shared by every
+// directory, so a run that names its artifacts with relative paths must
+// still show, diff and survive gc when `runs` is invoked from another
+// working directory. It changes the process's working directory, so it
+// must not run in parallel with other tests.
+func TestRunsFromAnotherDirectory(t *testing.T) {
+	runDir, otherDir := t.TempDir(), t.TempDir()
+	ledgerDir := filepath.Join(t.TempDir(), "ledger")
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+	chdir := func(dir string) {
+		t.Helper()
+		if err := os.Chdir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	chdir(runDir)
+	code, _, errOut := runCLI(t, "fig9", "-quick", "-shots", "256", "-seed", "7",
+		"-record", "rec.jsonl", "-checkpoint", "ck.jsonl", "-trace-out", "trace.json", "-ledger-dir", ledgerDir)
+	if code != exitOK {
+		t.Fatalf("run exited %d: %s", code, errOut)
+	}
+	lg, err := ledger.ReadFile(filepath.Join(ledgerDir, ledger.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lg.Envelopes) != 1 || len(lg.Envelopes[0].Artifacts) != 3 {
+		t.Fatalf("want one envelope with three artifacts, got %+v", lg.Envelopes)
+	}
+	id := lg.Envelopes[0].RunID
+	for _, a := range lg.Envelopes[0].Artifacts {
+		if !filepath.IsAbs(a.Path) {
+			t.Errorf("%s artifact path %q is not absolute", a.Kind, a.Path)
+		}
+	}
+
+	chdir(otherDir)
+	if code, out, errOut := runCLI(t, "runs", "show", "-ledger-dir", ledgerDir, id); code != exitOK {
+		t.Fatalf("runs show from another directory exited %d: %s\n%s", code, errOut, out)
+	}
+	if code, out, errOut := runCLI(t, "runs", "diff", "-ledger-dir", ledgerDir, id, id); code != exitOK {
+		t.Fatalf("runs diff from another directory exited %d: %s\n%s", code, errOut, out)
+	}
+	code, out, errOut := runCLI(t, "runs", "gc", "-ledger-dir", ledgerDir, "-dry-run")
+	if code != exitOK || !strings.Contains(out, "gc: 1 kept, 0 would prune") {
+		t.Fatalf("runs gc -dry-run from another directory exited %d: %s\n%s", code, errOut, out)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -78,21 +77,8 @@ type HistSnapshot struct {
 
 	// Buckets holds the raw per-bucket counts, trimmed after the last
 	// non-zero bucket. Buckets[0] counts observations v ≤ 0; Buckets[b]
-	// (b ≥ 1) counts 2^(b-1) ≤ v < 2^b. The Prometheus renderer turns
-	// these into cumulative le-buckets (exact for int64 observations:
-	// bucket b's inclusive upper bound is 2^b − 1).
+	// (b ≥ 1) counts 2^(b-1) ≤ v < 2^b.
 	Buckets []int64 `json:"buckets,omitempty"`
-}
-
-// BucketUpperBound returns the inclusive upper bound of bucket idx for
-// integer observations: 0 for idx 0, 2^idx − 1 otherwise (as float64; exact
-// up to idx 53, approximate beyond — far past any duration this repo
-// observes).
-func BucketUpperBound(idx int) float64 {
-	if idx <= 0 {
-		return 0
-	}
-	return math.Ldexp(1, idx) - 1
 }
 
 // bucketMid returns the representative value for bucket idx: the midpoint

@@ -26,9 +26,9 @@ import (
 var metricName = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z][a-z0-9]*(_[a-z0-9]+)*)+$`)
 
 // TestMetricNameHygiene sweeps every metric registered on the default
-// registry — the set a /metrics scrape or -metrics snapshot exposes — and
-// enforces the pkg.snake_case convention, no duplicate registration across
-// metric kinds, and no two names colliding after Prometheus sanitization.
+// registry — the set a -metrics snapshot or a recorder's final record
+// exposes — and enforces the pkg.snake_case convention and no duplicate
+// registration across metric kinds.
 func TestMetricNameHygiene(t *testing.T) {
 	runtimemetrics.Sample(obs.Default) // runtime.* gauges register on first sample
 	snap := obs.Default.Snapshot()
@@ -69,7 +69,6 @@ func TestMetricNameHygiene(t *testing.T) {
 		}
 	}
 
-	prom := map[string]string{}
 	for name, kk := range kinds {
 		if !metricName.MatchString(name) {
 			t.Errorf("metric %q violates the pkg.snake_case convention", name)
@@ -77,13 +76,6 @@ func TestMetricNameHygiene(t *testing.T) {
 		if len(kk) > 1 {
 			t.Errorf("metric %q registered as multiple kinds: %v", name, kk)
 		}
-		// Prometheus exposition flattens dots to underscores; two distinct
-		// registry names must not collapse onto one exposition name.
-		flat := strings.ReplaceAll(name, ".", "_")
-		if other, dup := prom[flat]; dup {
-			t.Errorf("metrics %q and %q collide as %q in Prometheus exposition", name, other, flat)
-		}
-		prom[flat] = name
 	}
 }
 

@@ -93,6 +93,10 @@ type Artifact struct {
 	// service wrote). Only `runs diff` branches on it, to find the
 	// recorder; every kind lists and verifies alike.
 	Kind string `json:"kind"`
+	// Path is absolute, so the ledger, which every directory shares,
+	// finds the file from any working directory. Envelopes written before
+	// FileArtifact resolved it keep the path as it was typed, relative to
+	// that run's working directory.
 	Path string `json:"path"`
 	// Key is the content address for cache entries (the dse/cache key the
 	// entry file stores).
@@ -333,12 +337,17 @@ func HashFile(path string) (sum string, size int64, err error) {
 }
 
 // FileArtifact digests the file at path into an Artifact of the given
-// kind. On I/O failure the artifact is still returned (kind and path
-// filled) so the manifest records that the file was written, alongside
-// the error.
+// kind, recording path as an absolute path. On I/O failure the artifact is
+// still returned (kind and path filled) so the manifest records that the
+// file was written, alongside the error.
 func FileArtifact(kind, path string) (Artifact, error) {
 	a := Artifact{Kind: kind, Path: path}
-	sum, size, err := HashFile(path)
+	abs, err := filepath.Abs(path)
+	if err != nil {
+		return a, err
+	}
+	a.Path = abs
+	sum, size, err := HashFile(abs)
 	if err != nil {
 		return a, err
 	}

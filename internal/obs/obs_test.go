@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -168,58 +167,20 @@ func TestHeartbeatReportsAndStops(t *testing.T) {
 	if !strings.Contains(out, "progress:") || !strings.Contains(out, "shots") {
 		t.Fatalf("heartbeat output %q", out)
 	}
+	// Stop is deferred AND called explicitly by the CLI: a second call must
+	// neither panic nor print another final line.
+	hb.Stop()
+	mu.Lock()
+	again := buf.String()
+	mu.Unlock()
+	if again != out {
+		t.Fatalf("second Stop wrote %q", strings.TrimPrefix(again, out))
+	}
 }
 
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-func TestWritePrometheusFormat(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("surface.shots").Add(128)
-	r.Counter("decoder.unionfind.decodes").Add(7)
-	r.Gauge("sched.queue-depth").Set(3.5)
-	h := r.Histogram("sched.event_lat_ns")
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(3)
-	h.Observe(5)
-
-	var buf bytes.Buffer
-	r.Snapshot().WritePrometheus(&buf)
-	out := buf.String()
-
-	wants := []string{
-		"# TYPE surface_shots counter",
-		"surface_shots 128",
-		"# TYPE decoder_unionfind_decodes counter",
-		"# TYPE sched_queue_depth gauge",
-		"sched_queue_depth 3.5",
-		"# TYPE sched_event_lat_ns histogram",
-		`sched_event_lat_ns_bucket{le="0"} 1`,
-		`sched_event_lat_ns_bucket{le="1"} 2`,
-		`sched_event_lat_ns_bucket{le="3"} 3`,
-		`sched_event_lat_ns_bucket{le="7"} 4`,
-		`sched_event_lat_ns_bucket{le="+Inf"} 4`,
-		"sched_event_lat_ns_sum 9",
-		"sched_event_lat_ns_count 4",
-	}
-	for _, want := range wants {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in exposition:\n%s", want, out)
-		}
-	}
-	// Cumulative bucket counts must be non-decreasing and end at _count.
-	if strings.Count(out, "_bucket{") != 5 {
-		t.Fatalf("expected exactly 5 bucket series:\n%s", out)
-	}
-	// Deterministic rendering.
-	var again bytes.Buffer
-	r.Snapshot().WritePrometheus(&again)
-	if out != again.String() {
-		t.Fatal("prometheus exposition not deterministic")
-	}
-}
 
 func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	// Exercised with -race in CI: snapshots taken while writers hammer the
@@ -238,10 +199,8 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 			case <-stopSnaps:
 				return
 			default:
-				s := r.Snapshot()
 				var buf bytes.Buffer
-				s.WriteTable(&buf)
-				s.WritePrometheus(&buf)
+				r.Snapshot().WriteTable(&buf)
 			}
 		}
 	}()
@@ -273,13 +232,6 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	if b1.String() != b2.String() {
 		t.Fatal("quiesced snapshots render differently")
 	}
-	b1.Reset()
-	b2.Reset()
-	one.WritePrometheus(&b1)
-	two.WritePrometheus(&b2)
-	if b1.String() != b2.String() {
-		t.Fatal("quiesced prometheus expositions differ")
-	}
 	h := one.Histograms["conc.lat_ns"]
 	var sum int64
 	for _, c := range h.Buckets {
@@ -288,38 +240,4 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	if sum != h.Count || h.Count != workers*perWorker {
 		t.Fatalf("bucket sum %d != count %d", sum, h.Count)
 	}
-}
-
-func TestHeartbeatSubscribeAndIdempotentStop(t *testing.T) {
-	var n int64
-	hb := StartHeartbeat(io.Discard, 5*time.Millisecond, 1000, func() int64 { n += 50; return n })
-	ch, cancel := hb.Subscribe()
-	defer cancel()
-
-	select {
-	case u := <-ch:
-		if u.Done <= 0 {
-			t.Fatalf("update carries no progress: %+v", u)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no heartbeat update within 2s")
-	}
-	if last := hb.Last(); last.Done <= 0 {
-		t.Fatalf("Last() empty after a tick: %+v", last)
-	}
-
-	hb.Stop()
-	hb.Stop() // must not panic: Stop is deferred AND called explicitly
-
-	// Drain: the final update arrives, then the channel closes.
-	sawFinal := false
-	for u := range ch {
-		if u.Final {
-			sawFinal = true
-		}
-	}
-	if !sawFinal {
-		t.Fatal("no final update delivered on Stop")
-	}
-	cancel() // after Stop: must be a no-op, not a double close
 }

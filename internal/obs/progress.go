@@ -7,24 +7,10 @@ import (
 	"time"
 )
 
-// ProgressUpdate is one heartbeat observation: elapsed wall time, the
-// monotone work counter, its rate over the last interval (overall average on
-// the final update), and — when a total is known — the remaining-work ETA.
-// JSON field names are the public contract for the /progress endpoint.
-type ProgressUpdate struct {
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	Done           int64   `json:"done"`
-	Total          int64   `json:"total,omitempty"`
-	Rate           float64 `json:"rate"`
-	EtaSeconds     float64 `json:"eta_seconds,omitempty"`
-	Final          bool    `json:"final,omitempty"`
-}
-
 // Heartbeat periodically reports progress of a long-running job: elapsed
 // wall time, a monotone work counter (typically Monte Carlo shots), its
 // rate over the last interval, and — when an approximate total is known —
-// an ETA. Each tick writes a single line to w (stderr in the CLI) and is
-// broadcast to any Subscribe()rs (the /progress SSE stream).
+// an ETA. Each tick writes a single line to w (stderr in the CLI).
 type Heartbeat struct {
 	w        io.Writer
 	read     func() int64
@@ -34,10 +20,6 @@ type Heartbeat struct {
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
-
-	mu   sync.Mutex
-	last ProgressUpdate
-	subs map[chan ProgressUpdate]struct{}
 }
 
 // StartHeartbeat launches the reporting goroutine. read must be safe to
@@ -55,7 +37,6 @@ func StartHeartbeat(w io.Writer, interval time.Duration, total int64, read func(
 		start:    time.Now(),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-		subs:     map[chan ProgressUpdate]struct{}{},
 	}
 	go h.loop()
 	return h
@@ -75,85 +56,24 @@ func (h *Heartbeat) loop() {
 			cur := h.read()
 			rate := float64(cur-last) / now.Sub(lastAt).Seconds()
 			last, lastAt = cur, now
-			h.publish(cur, rate, false)
+			h.line(cur, rate)
 		}
 	}
 }
 
-// publish records the update as Last, fans it out to subscribers (non-
-// blocking: a stalled subscriber misses ticks rather than stalling the
-// heartbeat), and prints the progress line.
-func (h *Heartbeat) publish(cur int64, rate float64, final bool) {
-	u := ProgressUpdate{
-		ElapsedSeconds: time.Since(h.start).Seconds(),
-		Done:           cur,
-		Total:          h.total,
-		Rate:           rate,
-		Final:          final,
-	}
+// line prints one progress line: elapsed time, the counter, its rate and,
+// when the total is known and not yet reached, the ETA at that rate.
+func (h *Heartbeat) line(cur int64, rate float64) {
+	elapsed := time.Since(h.start).Round(time.Second)
+	fmt.Fprintf(h.w, "progress: %s elapsed, %d shots (%.0f/s)", elapsed, cur, rate)
 	if h.total > 0 && rate > 0 && cur < h.total {
-		u.EtaSeconds = float64(h.total-cur) / rate
-	}
-	h.mu.Lock()
-	h.last = u
-	for ch := range h.subs {
-		select {
-		case ch <- u:
-		default:
-		}
-	}
-	h.mu.Unlock()
-	h.line(u)
-}
-
-func (h *Heartbeat) line(u ProgressUpdate) {
-	elapsed := (time.Duration(u.ElapsedSeconds * float64(time.Second))).Round(time.Second)
-	fmt.Fprintf(h.w, "progress: %s elapsed, %d shots (%.0f/s)", elapsed, u.Done, u.Rate)
-	if u.EtaSeconds > 0 {
-		eta := time.Duration(u.EtaSeconds * float64(time.Second))
+		eta := time.Duration(float64(h.total-cur) / rate * float64(time.Second))
 		fmt.Fprintf(h.w, ", ~%s remaining", eta.Round(time.Second))
 	}
 	fmt.Fprintln(h.w)
 }
 
-// Last returns the most recent update (synthesizing one from the current
-// counter before the first tick), so pull-based consumers (/progress GET)
-// never see stale zeroes.
-func (h *Heartbeat) Last() ProgressUpdate {
-	h.mu.Lock()
-	u := h.last
-	h.mu.Unlock()
-	if u.ElapsedSeconds == 0 && u.Done == 0 {
-		cur := h.read()
-		secs := time.Since(h.start).Seconds()
-		u = ProgressUpdate{ElapsedSeconds: secs, Done: cur, Total: h.total}
-		if secs > 0 {
-			u.Rate = float64(cur) / secs
-		}
-	}
-	return u
-}
-
-// Subscribe registers a listener for future updates. The returned cancel
-// function unregisters it and closes the channel; it is safe to call after
-// Stop.
-func (h *Heartbeat) Subscribe() (<-chan ProgressUpdate, func()) {
-	ch := make(chan ProgressUpdate, 8)
-	h.mu.Lock()
-	h.subs[ch] = struct{}{}
-	h.mu.Unlock()
-	cancel := func() {
-		h.mu.Lock()
-		if _, ok := h.subs[ch]; ok {
-			delete(h.subs, ch)
-			close(ch)
-		}
-		h.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-// Stop halts the heartbeat and emits a final update with the overall
+// Stop halts the heartbeat and prints a final line with the overall
 // average rate. Stop is idempotent — the CLI both defers it (so an early
 // error return cannot leak the ticker goroutine) and calls it explicitly
 // before printing telemetry.
@@ -162,19 +82,10 @@ func (h *Heartbeat) Stop() {
 		close(h.stop)
 		<-h.done
 		cur := h.read()
-		secs := time.Since(h.start).Seconds()
 		var avg float64
-		if secs > 0 {
+		if secs := time.Since(h.start).Seconds(); secs > 0 {
 			avg = float64(cur) / secs
 		}
-		h.publish(cur, avg, true)
-		// Close out subscribers: the SSE handler sees the final update,
-		// then the closed channel.
-		h.mu.Lock()
-		for ch := range h.subs {
-			delete(h.subs, ch)
-			close(ch)
-		}
-		h.mu.Unlock()
+		h.line(cur, avg)
 	})
 }

@@ -144,7 +144,6 @@ var (
 	EvRunDone          = Event("run.done")
 	EvRunInterrupted   = Event("run.interrupted")
 	EvExperimentDone   = Event("run.experiment_done")
-	EvTelemetryListen  = Event("run.telemetry_listen")
 	EvCheckpointResume = Event("run.checkpoint_resume")
 	EvCacheOpen        = Event("run.cache_open")
 	EvTraceWritten     = Event("run.trace_written")

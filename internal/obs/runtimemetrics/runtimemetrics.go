@@ -1,7 +1,10 @@
 // Package runtimemetrics feeds the Go runtime's own instrumentation
-// (runtime/metrics) into the obs gauge registry, so /metrics scrapes, the
-// -metrics snapshot, and the flight recorder's final snapshot capture
-// allocation and scheduling behavior alongside the experiment counters.
+// (runtime/metrics) into the obs gauge registry, so the -metrics snapshot
+// and the flight recorder's final snapshot capture allocation and
+// scheduling behavior alongside the experiment counters. Every gauge is
+// either cumulative or an end-of-run value, and each Sample overwrites all
+// of them, so the CLI samples once, just before it reads the final
+// snapshot.
 //
 // This is the signal that separates "the kernel got faster" from "the GC
 // got quieter": a throughput win with flat runtime.total_alloc_bytes and
@@ -17,13 +20,11 @@ package runtimemetrics
 import (
 	"math"
 	"runtime/metrics"
-	"sync"
-	"time"
 
 	"hetarch/internal/obs"
 )
 
-// samples maps the runtime/metrics names polled onto the obs gauge each
+// samples maps the runtime/metrics names read onto the obs gauge each
 // one feeds. Histogram-shaped metrics (GC pauses, scheduling latency)
 // are summarized as approximate p50/p99 gauges instead.
 var samples = []struct {
@@ -126,47 +127,4 @@ func quantileNs(h *metrics.Float64Histogram, q float64) float64 {
 		}
 	}
 	return 0
-}
-
-// Poller samples the runtime metrics on a fixed interval until stopped.
-type Poller struct {
-	reg      *obs.Registry
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-}
-
-// Start samples once immediately (so gauges exist before the first
-// scrape) and then every interval (<= 0 selects 1s) until Stop.
-func Start(reg *obs.Registry, interval time.Duration) *Poller {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	p := &Poller{reg: reg, stop: make(chan struct{}), done: make(chan struct{})}
-	Sample(reg)
-	go func() {
-		defer close(p.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-tick.C:
-				Sample(reg)
-			}
-		}
-	}()
-	return p
-}
-
-// Stop halts polling and takes one final sample, so snapshots written at
-// shutdown (the flight recorder's final record) carry end-of-run values.
-// Stop is idempotent.
-func (p *Poller) Stop() {
-	p.stopOnce.Do(func() {
-		close(p.stop)
-		<-p.done
-		Sample(p.reg)
-	})
 }

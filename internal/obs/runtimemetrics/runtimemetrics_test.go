@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"hetarch/internal/obs"
 )
@@ -68,20 +67,5 @@ func TestSampleTracksAllocation(t *testing.T) {
 	}
 	if after.Gauge("runtime.mallocs") <= before.Gauge("runtime.mallocs") {
 		t.Fatal("mallocs did not grow")
-	}
-}
-
-func TestPollerStopIsIdempotentAndFinalizes(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := Start(reg, 10*time.Millisecond)
-	// The initial synchronous sample registers gauges before Start returns.
-	if _, ok := reg.Snapshot().Gauges["runtime.goroutines"]; !ok {
-		t.Fatal("Start did not sample synchronously")
-	}
-	time.Sleep(25 * time.Millisecond)
-	p.Stop()
-	p.Stop() // idempotent
-	if reg.Snapshot().Gauge("runtime.goroutines") < 1 {
-		t.Fatal("final sample missing after Stop")
 	}
 }

@@ -209,8 +209,7 @@ func (c *Collector) Events() []Event {
 }
 
 // Default is the process-wide collector the instrumented engines emit to,
-// armed by `hetarch -trace-out` (and by -listen, for the /trace
-// endpoint).
+// armed by `hetarch -trace-out`.
 var Default = NewCollector()
 
 // Enabled reports whether the default collector is recording.

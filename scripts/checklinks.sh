@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-DOCS="README.md DESIGN.md EXPERIMENTS.md ROADMAP.md API.md"
+DOCS="README.md DESIGN.md EXPERIMENTS.md ROADMAP.md"
 fail=0
 
 slug() {
