@@ -1,6 +1,9 @@
 package distill
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -69,6 +72,58 @@ func TestDecohereOneSided(t *testing.T) {
 	one := p.Decohere(5, 500, 500, -1, -1)
 	if one.Fidelity() <= both.Fidelity() {
 		t.Fatal("one-sided decoherence should be milder")
+	}
+}
+
+// refApplyPauliOneSide is applyPauliOneSide as it was written before the
+// sums were unrolled, kept verbatim as the bit-level reference.
+func refApplyPauliOneSide(p [4]float64, px, py, pz float64) [4]float64 {
+	pi := 1 - px - py - pz
+	var out [4]float64
+	// index: 0 Φ+, 1 Φ−, 2 Ψ+, 3 Ψ−
+	permX := [4]int{2, 3, 0, 1}
+	permZ := [4]int{1, 0, 3, 2}
+	permY := [4]int{3, 2, 1, 0}
+	for i := 0; i < 4; i++ {
+		out[i] += pi * p[i]
+		out[permX[i]] += px * p[i]
+		out[permY[i]] += py * p[i]
+		out[permZ[i]] += pz * p[i]
+	}
+	return out
+}
+
+// TestApplyPauliOneSideMatchesReference pins the unrolled mix to the
+// permutation loop bit for bit: each output must add its sources in the
+// loop's order. Half the channels are symmetric (px = py = pz, as in
+// DEJMPS's gate-error twirl), half asymmetric (as in idle decay).
+func TestApplyPauliOneSideMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for n := 0; n < 100000; n++ {
+		var p [4]float64
+		total := 0.0
+		for k := range p {
+			p[k] = rng.Float64()
+			total += p[k]
+		}
+		for k := range p {
+			p[k] /= total
+		}
+		var px, py, pz float64
+		if n%2 == 0 {
+			px = rng.Float64() / 4
+			py, pz = px, px
+		} else {
+			px, py, pz = rng.Float64()/3, rng.Float64()/3, rng.Float64()/3
+		}
+		got := applyPauliOneSide(p, px, py, pz)
+		want := refApplyPauliOneSide(p, px, py, pz)
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("input %d: p=%v (px,py,pz)=(%v,%v,%v): out[%d] = %v, reference %v",
+					n, p, px, py, pz, k, got[k], want[k])
+			}
+		}
 	}
 }
 
@@ -258,6 +313,61 @@ func TestModuleDeterministicForSeed(t *testing.T) {
 	b := NewModule(withConsume(baseConfig(true))).Run(5000)
 	if a.Delivered != b.Delivered || a.Generated != b.Generated || a.Attempts != b.Attempts {
 		t.Fatal("same seed should reproduce identical runs")
+	}
+}
+
+// TestModuleGolden pins the module's outputs exactly: the six Stats
+// counters in rate-measurement mode (Fig 4's setting) and a sha256 over the
+// bits of every Fig 3 trace point. Event-loop rewrites must leave all of
+// them unchanged.
+func TestModuleGolden(t *testing.T) {
+	counts := func(s Stats) [6]int {
+		return [6]int{s.Generated, s.Stored, s.DroppedFull, s.Attempts, s.Successes, s.Delivered}
+	}
+	for _, tc := range []struct {
+		het  bool
+		rate float64
+		want [6]int // Generated, Stored, DroppedFull, Attempts, Successes, Delivered
+	}{
+		{true, 100, [6]int{535, 535, 0, 398, 393, 128}},
+		{true, 1000, [6]int{5008, 5008, 450, 3389, 3302, 1079}},
+		{true, 10000, [6]int{50276, 50276, 45246, 3732, 3622, 1182}},
+		{false, 100, [6]int{506, 506, 116, 358, 332, 0}},
+		{false, 1000, [6]int{5034, 5034, 282, 4175, 4052, 450}},
+		{false, 10000, [6]int{50077, 50077, 40675, 7464, 7255, 1724}},
+	} {
+		cfg := DefaultConfig(12.5, tc.het)
+		cfg.Seed = 1
+		cfg.GenRateKHz = tc.rate
+		cfg.ConsumeAtThreshold = true
+		if got := counts(NewModule(cfg).Run(5000)); got != tc.want {
+			t.Errorf("het=%v %v kHz: counters %v, want %v", tc.het, tc.rate, got, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		het  bool
+		want string
+	}{
+		{true, "28e455effcf5629955bc8233f4d17ef98fd20097ec17453cb2053d80e1cbacfd"},
+		{false, "f357c6dc96a1b97bef311b45e428c7e14de745e5874b64cfd5f20165b95c1b9a"},
+	} {
+		cfg := DefaultConfig(12.5, tc.het)
+		cfg.Seed = 1
+		cfg.GenRateKHz = 1000
+		cfg.TraceInterval = 2
+		trace := NewModule(cfg).Run(100).Trace
+		h := sha256.New()
+		var b [8]byte
+		for _, pt := range trace {
+			for _, v := range []float64{pt.Time, pt.BestInfidelity} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("het=%v trace (%d points): sha256 %s, want %s", tc.het, len(trace), got, tc.want)
+		}
 	}
 }
 

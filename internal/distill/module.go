@@ -120,7 +120,15 @@ func (s Stats) DeliveredRatePerSecond() float64 {
 type storedPair struct {
 	pair       Pair
 	lastUpdate float64
-	rounds     int // distillation rounds survived
+	rounds     int  // distillation rounds survived
+	used       bool // false marks a free slot
+}
+
+// pendingRound is a DEJMPS round whose gate phase is still running.
+type pendingRound struct {
+	predicted Pair
+	pSucc     float64
+	rounds    int // depth of the output pair
 }
 
 // Module is the entanglement-distillation module simulator: input memory,
@@ -131,8 +139,20 @@ type Module struct {
 	sim *sched.Sim
 	rng *rand.Rand
 
-	input  []*storedPair // fixed-size slot arrays; nil = free
-	output []*storedPair
+	input  []storedPair // fixed-size slot arrays
+	output []storedPair
+
+	// lifetime is the T1 = T2 of every memory slot; idleDt caches the last
+	// interval refresh decayed over and idlePx/Py/Pz its Pauli channel, since
+	// every event brings all stored pairs up to the same time.
+	lifetime                       float64
+	idleDt, idlePx, idlePy, idlePz float64
+
+	// The event callbacks are bound once so that scheduling allocates
+	// nothing; rounds holds the gate phases in flight, oldest first.
+	horizon                                   float64
+	onArrivalFn, onGatesDoneFn, onUnitFreedFn func()
+	rounds                                    []pendingRound
 
 	busyDistillers int
 	stats          Stats
@@ -146,34 +166,47 @@ func NewModule(cfg Config) *Module {
 	if cfg.Distillers < 1 {
 		cfg.Distillers = 1
 	}
-	return &Module{
+	m := &Module{
 		cfg:    cfg,
 		sim:    &sched.Sim{},
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		input:  make([]*storedPair, cfg.InputSlots),
-		output: make([]*storedPair, cfg.OutputSlots),
+		input:  make([]storedPair, cfg.InputSlots),
+		output: make([]storedPair, cfg.OutputSlots),
 	}
+	m.lifetime = m.memoryLifetime()
+	m.onArrivalFn = m.onArrival
+	m.onGatesDoneFn = m.onGatesDone
+	m.onUnitFreedFn = m.onUnitFreed
+	return m
 }
 
-// memoryLifetime returns the (T1, T2) of a memory slot under the
+// memoryLifetime returns the T1 = T2 of a memory slot under the
 // architecture choice.
-func (m *Module) memoryLifetime() (float64, float64) {
+func (m *Module) memoryLifetime() float64 {
 	if m.cfg.Heterogeneous {
-		return m.cfg.TsMicros, m.cfg.TsMicros
+		return m.cfg.TsMicros
 	}
-	return m.cfg.TcMicros, m.cfg.TcMicros
+	return m.cfg.TcMicros
 }
 
 // refresh applies lazy decoherence to a stored pair up to the current time.
-// Both halves decay with the memory lifetime (symmetric nodes).
+// Both halves decay with the memory lifetime (symmetric nodes): exactly
+// sp.pair.Decohere(dt, T, T, T, T), with the idle channel reused while dt
+// repeats.
 func (m *Module) refresh(sp *storedPair) {
 	now := m.sim.Now()
 	dt := now - sp.lastUpdate
 	if dt <= 0 {
 		return
 	}
-	t1, t2 := m.memoryLifetime()
-	sp.pair = sp.pair.Decohere(dt, t1, t2, t1, t2)
+	if t := m.lifetime; t > 0 {
+		if dt != m.idleDt {
+			m.idleDt = dt
+			m.idlePx, m.idlePy, m.idlePz = idlePauli(dt, t, t)
+		}
+		px, py, pz := m.idlePx, m.idlePy, m.idlePz
+		sp.pair.P = applyPauliOneSide(applyPauliOneSide(sp.pair.P, px, py, pz), px, py, pz)
+	}
 	sp.lastUpdate = now
 }
 
@@ -183,43 +216,54 @@ func (m *Module) distillOpTime() float64 {
 	return 2*m.cfg.SwapTime + m.cfg.OneQTime + m.cfg.GateTime + m.cfg.ReadoutTime
 }
 
+// gatePhase is the part of a round after which the surviving pair is back in
+// memory: the SWAPs and gates, plus lattice routing for the homogeneous
+// baseline.
+func (m *Module) gatePhase() float64 {
+	return 2*m.cfg.SwapTime + m.cfg.OneQTime + m.cfg.GateTime +
+		float64(m.cfg.RoutingSwaps)*3*m.cfg.GateTime
+}
+
 // Run simulates the module for the given horizon (µs) and returns the
 // accumulated statistics.
 func (m *Module) Run(horizonMicros float64) Stats {
 	m.stats = Stats{HorizonMicros: horizonMicros}
-	m.scheduleArrival(horizonMicros)
+	m.horizon = horizonMicros
+	m.scheduleArrival()
 	if m.cfg.TraceInterval > 0 {
-		m.scheduleTrace(horizonMicros)
+		m.scheduleTrace()
 	}
 	m.sim.RunUntil(horizonMicros)
 	return m.stats
 }
 
-func (m *Module) scheduleArrival(horizon float64) {
+func (m *Module) scheduleArrival() {
 	// Exponential inter-arrival with mean 1/rate. Rates are kHz = events
 	// per millisecond; convert to events per µs.
 	ratePerMicro := m.cfg.GenRateKHz / 1000.0
 	dt := m.rng.ExpFloat64() / ratePerMicro
 	t := m.sim.Now() + dt
-	if t > horizon {
+	if t > m.horizon {
 		return
 	}
-	m.sim.At(t, func() {
-		m.stats.Generated++
-		m.acceptPair(NewWernerPair(1 - m.cfg.RawInfidelity))
-		m.schedule()
-		m.scheduleArrival(horizon)
-	})
+	m.sim.At(t, m.onArrivalFn)
 }
 
-func (m *Module) scheduleTrace(horizon float64) {
+func (m *Module) onArrival() {
+	m.stats.Generated++
+	m.acceptPair(NewWernerPair(1 - m.cfg.RawInfidelity))
+	m.schedule()
+	m.scheduleArrival()
+}
+
+func (m *Module) scheduleTrace() {
 	var tick func()
 	tick = func() {
 		m.stats.Trace = append(m.stats.Trace, TracePoint{
 			Time:           m.sim.Now(),
 			BestInfidelity: m.BestOutputInfidelity(),
 		})
-		if m.sim.Now()+m.cfg.TraceInterval <= horizon {
+		if m.sim.Now()+m.cfg.TraceInterval <= m.horizon {
 			m.sim.After(m.cfg.TraceInterval, tick)
 		}
 	}
@@ -232,9 +276,10 @@ func (m *Module) scheduleTrace(horizon float64) {
 // otherwise the incoming pair is dropped.
 func (m *Module) acceptPair(p Pair) {
 	worst, worstF := -1, 2.0
-	for i, s := range m.input {
-		if s == nil {
-			m.input[i] = &storedPair{pair: p, lastUpdate: m.sim.Now()}
+	for i := range m.input {
+		s := &m.input[i]
+		if !s.used {
+			*s = storedPair{pair: p, lastUpdate: m.sim.Now(), used: true}
 			m.stats.Stored++
 			return
 		}
@@ -245,7 +290,7 @@ func (m *Module) acceptPair(p Pair) {
 		}
 	}
 	if worst >= 0 && p.Fidelity() > worstF {
-		m.input[worst] = &storedPair{pair: p, lastUpdate: m.sim.Now()}
+		m.input[worst] = storedPair{pair: p, lastUpdate: m.sim.Now(), used: true}
 		m.stats.Stored++
 		m.stats.DroppedFull++ // the evicted pair counts as a loss
 		return
@@ -257,8 +302,9 @@ func (m *Module) acceptPair(p Pair) {
 // after refreshing them to the current time (1 when the register is empty).
 func (m *Module) BestOutputInfidelity() float64 {
 	best := 1.0
-	for _, s := range m.output {
-		if s == nil {
+	for i := range m.output {
+		s := &m.output[i]
+		if !s.used {
 			continue
 		}
 		m.refresh(s)
@@ -276,19 +322,20 @@ func (m *Module) BestOutputInfidelity() float64 {
 // best available pairs and require predicted improvement.
 func (m *Module) schedule() {
 	// Refresh all stored pairs to now.
-	for _, s := range m.input {
-		if s != nil {
-			m.refresh(s)
+	for i := range m.input {
+		if m.input[i].used {
+			m.refresh(&m.input[i])
 		}
 	}
 
 	// Priority 2: move pairs at/above target into output memory.
-	for i, s := range m.input {
-		if s == nil || s.pair.Fidelity() < m.cfg.TargetFidelity {
+	for i := range m.input {
+		s := &m.input[i]
+		if !s.used || s.pair.Fidelity() < m.cfg.TargetFidelity {
 			continue
 		}
-		if m.deliver(s) {
-			m.input[i] = nil
+		if m.deliver(*s) {
+			s.used = false
 		}
 	}
 
@@ -313,11 +360,11 @@ func (m *Module) startBestDistillation() bool {
 	a, b := -1, -1
 	bestRounds, bestPred := -1, -1.0
 	for i := range m.input {
-		if m.input[i] == nil {
+		if !m.input[i].used {
 			continue
 		}
 		for j := i + 1; j < len(m.input); j++ {
-			if m.input[j] == nil || m.input[j].rounds != m.input[i].rounds {
+			if !m.input[j].used || m.input[j].rounds != m.input[i].rounds {
 				continue
 			}
 			pi, pj := m.input[i].pair, m.input[j].pair
@@ -342,7 +389,7 @@ func (m *Module) startBestDistillation() bool {
 	pa, pb := m.input[a].pair, m.input[b].pair
 	predicted, pSucc := DEJMPS(pa, pb, m.cfg.GateError)
 	rounds := m.input[a].rounds + 1 // both inputs are at the same depth
-	m.input[a], m.input[b] = nil, nil
+	m.input[a].used, m.input[b].used = false, false
 	m.busyDistillers++
 	m.stats.Attempts++
 	// The round pipelines: the surviving pair is back in memory once the
@@ -351,31 +398,43 @@ func (m *Module) startBestDistillation() bool {
 	// communication is neglected (as in the paper), so the success of the
 	// round is resolved when the pair is released — retroactive discard
 	// under pipelining is statistically identical.
-	gatePhase := 2*m.cfg.SwapTime + m.cfg.OneQTime + m.cfg.GateTime +
-		float64(m.cfg.RoutingSwaps)*3*m.cfg.GateTime
-	m.sim.After(gatePhase, func() {
-		if m.rng.Float64() < pSucc {
-			m.stats.Successes++
-			// The surviving pair idles on compute devices while the gates
-			// run; afterwards it rests in memory (storage for the
-			// heterogeneous design, a compute qubit for the homogeneous
-			// baseline — exactly where the heterogeneous design wins).
-			out := predicted.Decohere(gatePhase,
-				m.cfg.TcMicros, m.cfg.TcMicros, m.cfg.TcMicros, m.cfg.TcMicros)
-			sp := &storedPair{pair: out, lastUpdate: m.sim.Now(), rounds: rounds}
-			if out.Fidelity() >= m.cfg.TargetFidelity && m.deliver(sp) {
-				// delivered directly
-			} else {
-				m.storeBack(sp)
-			}
-		}
-		m.schedule()
-	})
-	m.sim.After(m.distillOpTime(), func() {
-		m.busyDistillers--
-		m.schedule()
-	})
+	//
+	// Every gate phase lasts the same gatePhase() and floating-point
+	// addition is monotone, so gate phases end in the order they began
+	// (equal end times fire in scheduling order): onGatesDone takes the
+	// oldest entry of m.rounds.
+	m.rounds = append(m.rounds, pendingRound{predicted: predicted, pSucc: pSucc, rounds: rounds})
+	m.sim.After(m.gatePhase(), m.onGatesDoneFn)
+	m.sim.After(m.distillOpTime(), m.onUnitFreedFn)
 	return true
+}
+
+// onGatesDone resolves the oldest round in flight when its gate phase ends.
+func (m *Module) onGatesDone() {
+	r := m.rounds[0]
+	m.rounds = append(m.rounds[:0], m.rounds[1:]...)
+	if m.rng.Float64() < r.pSucc {
+		m.stats.Successes++
+		// The surviving pair idles on compute devices while the gates
+		// run; afterwards it rests in memory (storage for the
+		// heterogeneous design, a compute qubit for the homogeneous
+		// baseline — exactly where the heterogeneous design wins).
+		out := r.predicted.Decohere(m.gatePhase(),
+			m.cfg.TcMicros, m.cfg.TcMicros, m.cfg.TcMicros, m.cfg.TcMicros)
+		sp := storedPair{pair: out, lastUpdate: m.sim.Now(), rounds: r.rounds, used: true}
+		if out.Fidelity() >= m.cfg.TargetFidelity && m.deliver(sp) {
+			// delivered directly
+		} else {
+			m.storeBack(sp)
+		}
+	}
+	m.schedule()
+}
+
+// onUnitFreed releases the distillation unit at the end of a round.
+func (m *Module) onUnitFreed() {
+	m.busyDistillers--
+	m.schedule()
 }
 
 // deliver places a threshold-quality pair into the output register. When
@@ -383,15 +442,16 @@ func (m *Module) startBestDistillation() bool {
 // stored output pair if it is better (the output register always offers the
 // best pairs produced so far); it returns false only when the pair is worse
 // than everything already stored.
-func (m *Module) deliver(sp *storedPair) bool {
+func (m *Module) deliver(sp storedPair) bool {
 	worst, worstF := -1, 2.0
-	for i, s := range m.output {
-		if s == nil {
+	for i := range m.output {
+		s := &m.output[i]
+		if !s.used {
 			m.stats.Delivered++
 			if m.cfg.ConsumeAtThreshold {
 				return true // consumed immediately; slot stays free
 			}
-			m.output[i] = sp
+			*s = sp
 			return true
 		}
 		m.refresh(s)
@@ -412,11 +472,12 @@ func (m *Module) deliver(sp *storedPair) bool {
 // further rounds. When the memory has meanwhile filled with fresh arrivals,
 // the worst stored pair is evicted — a distilled pair embodies several raw
 // pairs of work and must not be displaced by raw inflow.
-func (m *Module) storeBack(sp *storedPair) {
+func (m *Module) storeBack(sp storedPair) {
 	worst, worstF := -1, 2.0
-	for i, s := range m.input {
-		if s == nil {
-			m.input[i] = sp
+	for i := range m.input {
+		s := &m.input[i]
+		if !s.used {
+			*s = sp
 			return
 		}
 		m.refresh(s)
@@ -437,7 +498,7 @@ func (m *Module) storeBack(sp *storedPair) {
 func (m *Module) InputOccupancy() int {
 	n := 0
 	for _, s := range m.input {
-		if s != nil {
+		if s.used {
 			n++
 		}
 	}

@@ -52,20 +52,18 @@ func (p Pair) Validate() error {
 // applyPauliOneSide mixes the coefficients under a Pauli channel
 // (px, py, pz) acting on ONE qubit of the pair. Pauli action permutes Bell
 // states: X swaps Φ±↔Ψ±, Z swaps +↔−, Y does both.
+//
+// Each output sums its four sources in source-index order (0 Φ+, 1 Φ−,
+// 2 Ψ+, 3 Ψ−), left to right; floating-point addition is not associative,
+// so that order is part of the result.
 func applyPauliOneSide(p [4]float64, px, py, pz float64) [4]float64 {
 	pi := 1 - px - py - pz
-	var out [4]float64
-	// index: 0 Φ+, 1 Φ−, 2 Ψ+, 3 Ψ−
-	permX := [4]int{2, 3, 0, 1}
-	permZ := [4]int{1, 0, 3, 2}
-	permY := [4]int{3, 2, 1, 0}
-	for i := 0; i < 4; i++ {
-		out[i] += pi * p[i]
-		out[permX[i]] += px * p[i]
-		out[permY[i]] += py * p[i]
-		out[permZ[i]] += pz * p[i]
+	return [4]float64{
+		pi*p[0] + pz*p[1] + px*p[2] + py*p[3],
+		pz*p[0] + pi*p[1] + py*p[2] + px*p[3],
+		px*p[0] + py*p[1] + pi*p[2] + pz*p[3],
+		py*p[0] + px*p[1] + pz*p[2] + pi*p[3],
 	}
-	return out
 }
 
 // Decohere evolves the pair for duration dt (µs) with each listed side
@@ -93,7 +91,10 @@ func idlePauli(dt, t1, t2 float64) (px, py, pz float64) {
 	if t2 <= 0 || t2 > 2*t1 {
 		t2 = 2 * t1
 	}
-	pT2 := 1 - math.Exp(-dt/t2)
+	pT2 := pT1 // T2 = T1 (every memory slot) needs no second exp
+	if t2 != t1 {
+		pT2 = 1 - math.Exp(-dt/t2)
+	}
 	px = pT1 / 4
 	py = pT1 / 4
 	pz = pT2/2 - pT1/4

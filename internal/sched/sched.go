@@ -5,7 +5,6 @@
 package sched
 
 import (
-	"container/heap"
 	"time"
 
 	"hetarch/internal/obs"
@@ -29,31 +28,24 @@ type event struct {
 	fn   func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// before orders events by (time, seq), a strict total order, so the firing
+// order does not depend on the heap's layout.
+func (e *event) before(f *event) bool {
+	if e.time != f.time {
+		return e.time < f.time
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return e.seq < f.seq
 }
 
 // Sim is a discrete-event simulation clock. The zero value is ready to use.
+//
+// The queue is a binary min-heap of events held by value, so scheduling
+// allocates nothing once the slice has grown to the deepest queue seen; a
+// heap.Interface queue would box every pushed event in an interface.
 type Sim struct {
 	now   float64
 	seq   int64
-	queue eventQueue
+	queue []event
 }
 
 // Now returns the current simulation time.
@@ -65,7 +57,8 @@ func (s *Sim) At(t float64, fn func()) {
 		panic("sched: scheduling into the past")
 	}
 	s.seq++
-	heap.Push(&s.queue, &event{time: t, seq: s.seq, fn: fn})
+	s.queue = append(s.queue, event{time: t, seq: s.seq, fn: fn})
+	s.siftUp(len(s.queue) - 1)
 	schedMaxDepth.SetMax(float64(len(s.queue)))
 }
 
@@ -79,14 +72,61 @@ func (s *Sim) After(d float64, fn func()) {
 
 // Step executes the next event; it reports false when the queue is empty.
 func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
+	n := len(s.queue) - 1
+	if n < 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*event)
+	e := s.queue[0]
+	s.queue[0] = s.queue[n]
+	s.queue[n] = event{} // drop the callback so the queue does not retain it
+	s.queue = s.queue[:n]
+	s.siftDown(0)
 	s.now = e.time
 	schedEvents.Inc()
 	e.fn()
 	return true
+}
+
+// siftUp moves the event at index j towards the root until its parent
+// precedes it.
+func (s *Sim) siftUp(j int) {
+	q := s.queue
+	e := q[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.before(&q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = e
+}
+
+// siftDown moves the event at index i towards the leaves until it precedes
+// both children.
+func (s *Sim) siftDown(i int) {
+	q := s.queue
+	n := len(q)
+	if i >= n {
+		return
+	}
+	e := q[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
 }
 
 // RunUntil executes events in order until the clock would pass t or the

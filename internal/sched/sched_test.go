@@ -161,3 +161,108 @@ func TestTelemetryCounters(t *testing.T) {
 		t.Fatalf("max queue depth %v, want >= 7", got)
 	}
 }
+
+// FuzzSimOrder checks the heap against a linear scan for the least
+// (time, seq). Byte i of the input schedules event i at time b%8, so ties
+// are common; when its high bit is set, the event schedules a child
+// b&3 later as it fires. Events must fire in the scan's order, each at its
+// own time, and Now() must never decrease.
+func FuzzSimOrder(f *testing.F) {
+	lcg := make([]byte, 300)
+	x := uint32(2026)
+	for i := range lcg {
+		x = x*1664525 + 1013904223
+		lcg[i] = byte(x >> 24)
+	}
+	f.Add(lcg)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			// The scan is quadratic; 1024 events already build a heap
+			// eleven levels deep, with at most eight distinct times.
+			data = data[:1024]
+		}
+		want := scanOrder(data)
+
+		var s Sim
+		var got []int
+		nextID := len(data)
+		for i, b := range data {
+			at := float64(b % 8)
+			s.At(at, func() {
+				if s.Now() != at {
+					t.Fatalf("event %d fired at %v, scheduled for %v", i, s.Now(), at)
+				}
+				got = append(got, i)
+				if b&0x80 != 0 {
+					id, childAt := nextID, s.Now()+float64(b&3)
+					nextID++
+					s.At(childAt, func() {
+						if s.Now() != childAt {
+							t.Fatalf("child %d fired at %v, scheduled for %v", id, s.Now(), childAt)
+						}
+						got = append(got, id)
+					})
+				}
+			})
+		}
+		last := s.Now()
+		for s.Step() {
+			if s.Now() < last {
+				t.Fatalf("clock went back from %v to %v", last, s.Now())
+			}
+			last = s.Now()
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("%d events pending after the queue drained", s.Pending())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("fired %d events, want %d", len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("event %d: fired id %d, want %d", k, got[k], want[k])
+			}
+		}
+	})
+}
+
+// scanOrder replays FuzzSimOrder's schedule with a linear scan for the least
+// (time, seq) and returns the ids in firing order.
+func scanOrder(data []byte) []int {
+	type pending struct {
+		time  float64
+		seq   int
+		id    int
+		spawn float64 // delay of the child to schedule on firing; < 0 for none
+	}
+	var queue []pending
+	seq := 0
+	for i, b := range data {
+		seq++
+		spawn := -1.0
+		if b&0x80 != 0 {
+			spawn = float64(b & 3)
+		}
+		queue = append(queue, pending{float64(b % 8), seq, i, spawn})
+	}
+	var order []int
+	nextID := len(data)
+	for len(queue) > 0 {
+		k := 0
+		for j := range queue {
+			if queue[j].time < queue[k].time ||
+				(queue[j].time == queue[k].time && queue[j].seq < queue[k].seq) {
+				k = j
+			}
+		}
+		e := queue[k]
+		queue = append(queue[:k], queue[k+1:]...)
+		order = append(order, e.id)
+		if e.spawn >= 0 {
+			seq++
+			queue = append(queue, pending{e.time + e.spawn, seq, nextID, -1})
+			nextID++
+		}
+	}
+	return order
+}
