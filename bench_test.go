@@ -94,41 +94,11 @@ func BenchmarkTable4CodeTeleportationMatrix(b *testing.B) {
 // BenchmarkDSESpeedup quantifies the simulation-hierarchy payoff: the same
 // register-parameter sweep with the characterization cache (HetArch's
 // approach) versus re-running the density-matrix characterization at every
-// grid point, plus the persistent-cache tiers — a cold on-disk cache (pays
-// characterization once, amortized across future processes) and a warm one
-// (skips density-matrix simulation entirely, the steady state of iterative
-// design work).
+// grid point.
 func BenchmarkDSESpeedup(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			experiments.DSEDemo()
-		}
-	})
-	b.Run("persistent-cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			store, err := OpenCharacterizationCache(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if _, err := experiments.DSE(context.Background(), experiments.DSEOptions{Store: store}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("persistent-warm", func(b *testing.B) {
-		store, err := OpenCharacterizationCache(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// One cold pass fills the directory; every timed pass is warm.
-		if _, err := experiments.DSE(context.Background(), experiments.DSEOptions{Store: store}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.DSE(context.Background(), experiments.DSEOptions{Store: store}); err != nil {
+			if _, err := experiments.DSE(context.Background(), 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,25 +4,24 @@
 // Usage:
 //
 //	hetarch <experiment> [-quick] [-seed N] [-shots N] [-json] [-metrics]
-//	        [-progress] [-record FILE] [-checkpoint FILE] [-cache-dir DIR]
-//	        [-cpuprofile FILE] [-memprofile FILE] [-trace-out FILE]
-//	        [-trace-sample N] [-log-format text|json] [-ledger-dir DIR]
-//	        [-timeout D]
+//	        [-progress] [-record FILE] [-checkpoint FILE] [-cpuprofile FILE]
+//	        [-memprofile FILE] [-trace-out FILE] [-trace-sample N]
+//	        [-log-format text|json] [-ledger-dir DIR] [-timeout D]
 //	hetarch runs <list|show|diff|gc> [args]
 //
 // where experiment is one of: devices (Table 1), cells (Table 2), fig3,
-// fig4, fig6, fig7, fig9, table3, fig12, table4, dse, all.
+// fig4, fig6, fig7, fig9, table3, fig12, table4, dse, devstudy, capacity,
+// protocol, all.
 //
 // Every invocation mints a run ID (deterministic ULID-style: timestamp +
 // entropy derived from -seed) that is stamped into the structured event
-// log, the recorder header, the checkpoint file, the trace metadata, and
-// cache write envelopes, and appends one envelope — args, seed, git
-// revision, exit status, headline metrics, artifact manifest with sha256
-// digests — to the append-only run ledger (-ledger-dir, default
-// $HETARCH_LEDGER_DIR then ~/.hetarch; "off" disables). `hetarch runs`
-// audits that ledger: list past runs, show one with digest verification,
-// diff two runs or recorder files through the obs/diff gates, gc runs whose
-// artifacts are gone.
+// log, the recorder header, the checkpoint file and the trace metadata,
+// and appends one envelope — args, seed, git revision, exit status,
+// headline metrics, artifact manifest with sha256 digests — to the
+// append-only run ledger (-ledger-dir, default $HETARCH_LEDGER_DIR then
+// ~/.hetarch; "off" disables). `hetarch runs` audits that ledger: list
+// past runs, show one with digest verification, diff two runs or recorder
+// files through the obs/diff gates, gc runs whose artifacts are gone.
 //
 // Operational events (run start/done, checkpoint resume, shard faults,
 // trace written, ...) go to stderr through log/slog — logfmt-style text by
@@ -51,10 +50,8 @@
 // exits through the same path. Exit codes: 0 success, 1 runtime error, 2
 // usage error, 3 interrupted or timed out (checkpoint, if any, flushed).
 //
-// -cache-dir points the characterization-heavy experiments (dse, cells) at
-// a persistent content-addressed cache of standard-cell characterizations:
-// a warm re-run produces bit-identical stdout while skipping density-matrix
-// simulation entirely (cache accounting goes to stderr and -metrics).
+// dse characterizes each distinct standard cell once per process and
+// reports that accounting on stderr (and in -metrics), never on stdout.
 //
 // Every run keeps one shot tally: the Monte Carlo shards it accounts for,
 // executed or replayed from -checkpoint, feed the -progress heartbeat, the
@@ -76,15 +73,10 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"hetarch/internal/cell"
-	"hetarch/internal/core"
-	dsecache "hetarch/internal/dse/cache"
 	"hetarch/internal/experiments"
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/checkpoint"
@@ -125,7 +117,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", false, "heartbeat on stderr with shots/sec and ETA")
 	record := fs.String("record", "", "journal the run to a JSONL flight-recorder artifact at `file`")
 	ckptPath := fs.String("checkpoint", "", "persist completed Monte Carlo shards to `file`; rerunning with the same flags resumes")
-	cacheDir := fs.String("cache-dir", "", "persist standard-cell characterizations to `dir`; warm runs of dse/cells skip density-matrix simulation")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write a heap profile to `file` at exit")
 	traceOut := fs.String("trace-out", "", "write a flight-profiler trace (Chrome Trace Event JSON, opens in Perfetto) to `file`")
@@ -307,23 +298,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	ctx = mc.WithCheckpoint(ctx, meter)
 
-	// The persistent characterization cache is an optional store; without
-	// -cache-dir the characterization-heavy runners keep their historical
-	// behaviour (dse memoizes in-process, cells simulates directly).
-	var charStore core.CharacterizationStore
-	var cacheTrack *trackingStore
-	if *cacheDir != "" {
-		dir, err := dsecache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "hetarch: cache-dir:", err)
-			return exitError
-		}
-		dir.SetRunID(runID)
-		cacheTrack = &trackingStore{dir: dir, keys: map[string]bool{}}
-		charStore = cacheTrack
-		lg.Info(runlog.EvCacheOpen, "dir", dir.Path())
-	}
-
 	var rec *recorder.FileWriter
 	if *record != "" {
 		var err error
@@ -343,7 +317,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *asJSON {
 		emit = tableJSON(stdout)
 	}
-	runners := buildRunners(ctx, sc, *seed, *workers, stdout, stderr, emit, charStore)
+	runners := buildRunners(ctx, sc, *seed, *workers, stdout, stderr, emit)
 
 	runStart := time.Now()
 
@@ -379,7 +353,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if runErr != nil {
 			e.Error = runErr.Error()
 		}
-		add := func(kind, path, key string) {
+		add := func(kind, path string) {
 			if path == "" {
 				return
 			}
@@ -388,17 +362,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				lg.Warn(runlog.EvLedgerDisabled, "artifact", path, "error", err.Error())
 				return
 			}
-			a.Key = key
 			e.Artifacts = append(e.Artifacts, a)
 		}
-		add("recorder", *record, "")
-		add("checkpoint", *ckptPath, "")
-		add("trace", *traceOut, "")
-		if cacheTrack != nil {
-			for _, k := range cacheTrack.sortedKeys() {
-				add("cache", cacheTrack.dir.EntryPath(k), k)
-			}
-		}
+		add("recorder", *record)
+		add("checkpoint", *ckptPath)
+		add("trace", *traceOut)
 		if err := led.Append(e); err != nil {
 			fmt.Fprintln(stderr, "hetarch: ledger:", err)
 		}
@@ -563,11 +531,10 @@ func emitTelemetry(w io.Writer, asJSON bool) error {
 // the run's cancellation and checkpoint scope into every Monte Carlo
 // experiment.
 func buildRunners(ctx context.Context, sc experiments.Scale, seed int64, workers int,
-	stdout, stderr io.Writer, emit func(func() (*experiments.Table, error)) func() error,
-	charStore core.CharacterizationStore) map[string]func() error {
+	stdout, stderr io.Writer, emit func(func() (*experiments.Table, error)) func() error) map[string]func() error {
 	return map[string]func() error{
 		"devices": func() error { experiments.Table1(stdout); return nil },
-		"cells":   func() error { return experiments.Table2Store(stdout, charStore) },
+		"cells":   func() error { return experiments.Table2(stdout) },
 		"fig3":    emit(func() (*experiments.Table, error) { return experiments.Fig3(ctx, sc, seed) }),
 		"fig4":    emit(func() (*experiments.Table, error) { return experiments.Fig4(ctx, sc, seed) }),
 		"fig6":    emit(func() (*experiments.Table, error) { return experiments.Fig6(ctx, sc, seed) }),
@@ -577,14 +544,13 @@ func buildRunners(ctx context.Context, sc experiments.Scale, seed int64, workers
 		"fig12":   emit(func() (*experiments.Table, error) { return experiments.Fig12(ctx, sc, seed) }),
 		"table4":  emit(func() (*experiments.Table, error) { return experiments.Table4(ctx, sc, seed) }),
 		"dse": emit(func() (*experiments.Table, error) {
-			r, err := experiments.DSE(ctx, experiments.DSEOptions{Workers: workers, Store: charStore})
+			r, err := experiments.DSE(ctx, workers)
 			if err != nil {
 				return nil, err
 			}
-			// Cache accounting differs between cold and warm runs; it is
-			// telemetry, so it goes to stderr and stdout stays bit-identical
-			// across cache states.
-			r.FprintDSEStats(stderr)
+			// Cache accounting is telemetry, so it goes to stderr.
+			fmt.Fprintf(stderr, "dse: %d grid points, %d characterizations requested, %d served from cache (%.0f%%)\n",
+				len(r.Results), r.Calls, r.Hits, 100*float64(r.Hits)/float64(r.Calls))
 			return r.Table(), nil
 		}),
 		"devstudy": emit(func() (*experiments.Table, error) { return experiments.DeviceStudy(ctx, sc, seed) }),
@@ -618,44 +584,6 @@ func tableJSON(w io.Writer) func(func() (*experiments.Table, error)) func() erro
 			return enc.Encode(t)
 		}
 	}
-}
-
-// trackingStore wraps the persistent characterization cache to record
-// every key a run touched (loads and stores alike), so the ledger envelope
-// can manifest the cache entries with their on-disk digests. It forwards
-// both CharacterizationStore methods unchanged — tracking never alters
-// cache behaviour, keeping warm-run stdout bit-identical.
-type trackingStore struct {
-	dir  *dsecache.Dir
-	mu   sync.Mutex
-	keys map[string]bool
-}
-
-func (s *trackingStore) Load(key string) (*cell.Characterization, bool, error) {
-	s.track(key)
-	return s.dir.Load(key)
-}
-
-func (s *trackingStore) Store(key string, c *cell.Characterization) error {
-	s.track(key)
-	return s.dir.Store(key, c)
-}
-
-func (s *trackingStore) track(key string) {
-	s.mu.Lock()
-	s.keys[key] = true
-	s.mu.Unlock()
-}
-
-func (s *trackingStore) sortedKeys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.keys))
-	for k := range s.keys {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // writeTraceFile dumps the flight profiler's buffer as Chrome Trace Event

@@ -15,7 +15,6 @@ import (
 
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/chaos"
-	"hetarch/internal/obs"
 	"hetarch/internal/obs/ledger"
 	"hetarch/internal/obs/recorder"
 )
@@ -55,6 +54,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero trace sample", []string{"fig9", "-trace-out", "t.json", "-trace-sample", "0"}, exitUsage, "-trace-sample must be >= 1"},
 		{"trace sample without sink", []string{"fig9", "-trace-sample", "4"}, exitUsage, "no effect without -trace-out\n"},
 		{"listen is not a flag", []string{"fig9", "-listen", "127.0.0.1:0"}, exitUsage, "flag provided but not defined: -listen"},
+		{"cache-dir is not a flag", []string{"dse", "-cache-dir", "d"}, exitUsage, "flag provided but not defined: -cache-dir"},
 		{"zero timeout", []string{"fig9", "-timeout", "0s"}, exitUsage, "-timeout must be positive"},
 		{"ok no-MC experiment", []string{"devices"}, exitOK, ""},
 	}
@@ -379,17 +379,12 @@ func TestTraceOutEndToEnd(t *testing.T) {
 		}
 	}
 
-	// DSE point evaluations land on their own process, and the persistent
-	// cache marks its hits/misses as instant events.
+	// DSE point evaluations land on their own process.
 	dsePath := filepath.Join(dir, "dse.json")
-	runOK("dse", "-quick", "-workers", "2", "-cache-dir", filepath.Join(dir, "cache"),
-		"-trace-out", dsePath, "-trace-sample", "1")
+	runOK("dse", "-quick", "-workers", "2", "-trace-out", dsePath, "-trace-sample", "1")
 	cats, _ = loadChromeTrace(t, dsePath)
 	if cats["dse.point"] == 0 {
 		t.Fatalf("dse trace has no dse.point events (cats: %v)", cats)
-	}
-	if cats["dse.cache"] == 0 {
-		t.Fatalf("dse trace has no dse.cache events (cats: %v)", cats)
 	}
 }
 
@@ -453,53 +448,9 @@ func TestTraceOutRunTrack(t *testing.T) {
 	}
 }
 
-func dseCacheCounters() (hits, misses, writes int64) {
-	s := obs.Default.Snapshot()
-	return s.Counter("dse.cache_hits"), s.Counter("dse.cache_misses"), s.Counter("dse.cache_writes")
-}
-
-// TestDSEColdWarmBitIdentical is the persistent-cache contract end to end:
-// a warm -cache-dir run must print stdout bit-identical to the cold run
-// while serving every characterization from disk (nonzero dse.cache_hits,
-// zero new writes).
-func TestDSEColdWarmBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	argv := []string{"dse", "-quick", "-cache-dir", dir}
-
-	_, _, w0 := dseCacheCounters()
-	var cold, coldErr bytes.Buffer
-	if code := run(context.Background(), argv, &cold, &coldErr); code != exitOK {
-		t.Fatalf("cold run exited %d: %s", code, coldErr.String())
-	}
-	_, _, w1 := dseCacheCounters()
-	if w1-w0 <= 0 {
-		t.Fatal("cold run wrote no cache entries")
-	}
-
-	h0, _, _ := dseCacheCounters()
-	var warm, warmErr bytes.Buffer
-	if code := run(context.Background(), argv, &warm, &warmErr); code != exitOK {
-		t.Fatalf("warm run exited %d: %s", code, warmErr.String())
-	}
-	h1, _, w2 := dseCacheCounters()
-	if h1-h0 <= 0 {
-		t.Fatal("warm run had no cache hits")
-	}
-	if w2 != w1 {
-		t.Fatalf("warm run wrote %d new entries, want 0", w2-w1)
-	}
-	if warm.String() != cold.String() {
-		t.Fatalf("warm stdout differs from cold:\n-- warm --\n%s\n-- cold --\n%s", warm.String(), cold.String())
-	}
-	if !strings.Contains(warmErr.String(), "served from cache (100%)") {
-		t.Fatalf("warm stderr missing full-hit accounting: %s", warmErr.String())
-	}
-}
-
 // TestDSEWorkerCountInvariant: the sweep table must be bit-identical at any
-// -workers setting, with or without a persistent cache.
+// -workers setting.
 func TestDSEWorkerCountInvariant(t *testing.T) {
-	dir := t.TempDir()
 	runArgs := func(args ...string) string {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
@@ -512,35 +463,9 @@ func TestDSEWorkerCountInvariant(t *testing.T) {
 	for _, args := range [][]string{
 		{"dse", "-quick", "-workers", "4"},
 		{"dse", "-quick"},
-		{"dse", "-quick", "-workers", "4", "-cache-dir", dir},
-		{"dse", "-quick", "-workers", "1", "-cache-dir", dir}, // warm
 	} {
 		if got := runArgs(args...); got != base {
 			t.Fatalf("run(%q) stdout diverges from -workers 1:\n%s\nvs\n%s", args, got, base)
 		}
-	}
-}
-
-// TestCellsCacheBitIdentical: Table 2 routed through the persistent cache
-// must match the direct-characterization output exactly.
-func TestCellsCacheBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	var direct, cold, warm, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"cells"}, &direct, &stderr); code != exitOK {
-		t.Fatalf("direct run exited %d: %s", code, stderr.String())
-	}
-	if code := run(context.Background(), []string{"cells", "-cache-dir", dir}, &cold, &stderr); code != exitOK {
-		t.Fatalf("cold run exited %d: %s", code, stderr.String())
-	}
-	h0, _, _ := dseCacheCounters()
-	if code := run(context.Background(), []string{"cells", "-cache-dir", dir}, &warm, &stderr); code != exitOK {
-		t.Fatalf("warm run exited %d: %s", code, stderr.String())
-	}
-	h1, _, _ := dseCacheCounters()
-	if h1-h0 <= 0 {
-		t.Fatal("warm cells run had no cache hits")
-	}
-	if cold.String() != direct.String() || warm.String() != direct.String() {
-		t.Fatal("cached cells output differs from direct characterization")
 	}
 }

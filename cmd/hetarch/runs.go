@@ -227,10 +227,6 @@ func printRunShow(w io.Writer, e *ledger.Envelope) int {
 	fmt.Fprintln(w, "artifacts:")
 	results, bad := e.Verify()
 	for _, r := range results {
-		if r.Artifact.Key != "" {
-			fmt.Fprintf(w, "  [%-10s] %-9s %s  key=%.12s…\n", r.Status, r.Artifact.Kind, r.Artifact.Path, r.Artifact.Key)
-			continue
-		}
 		fmt.Fprintf(w, "  [%-10s] %-9s %s\n", r.Status, r.Artifact.Kind, r.Artifact.Path)
 	}
 	if bad > 0 {

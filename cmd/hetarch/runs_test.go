@@ -246,7 +246,9 @@ func TestRunsListDiffGC(t *testing.T) {
 	idA, idB := lg.Envelopes[0].RunID, lg.Envelopes[1].RunID
 
 	// Ledgers on disk may hold envelopes the hetarchd job service wrote:
-	// tool "hetarchd" and an "output" artifact (the job's table).
+	// tool "hetarchd" and an "output" artifact (the job's table). This one
+	// also carries a "cache" artifact in the form the retired on-disk
+	// characterization cache wrote, with the entry's content key.
 	output := filepath.Join(dir, "output.txt")
 	if err := os.WriteFile(output, []byte("fig9 table\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -255,11 +257,22 @@ func TestRunsListDiffGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cacheKey := strings.Repeat("5e", 32)
+	entry := filepath.Join(dir, cacheKey+".json")
+	if err := os.WriteFile(entry, []byte(`{"format":"hetarch-charcache","key":"`+cacheKey+`"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entrySum, entrySize, err := ledger.HashFile(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
 	jobID := runlog.MintID(9)
 	line := fmt.Sprintf(`{"type":"run","run_id":%q,"tool":"hetarchd","experiment":"fig9","scale":"quick",`+
 		`"seed":9,"shots":512,"workers":1,"args":["serve","tenant:alice","fingerprint:0f3a"],`+
 		`"started_at":"2026-01-02T03:04:05Z","status":"ok","metrics":{"shots":90000,"logical_errors":900},`+
-		`"artifacts":[{"kind":"output","path":%q,"sha256":%q,"bytes":%d}]}`+"\n", jobID, output, sum, size)
+		`"artifacts":[{"kind":"output","path":%q,"sha256":%q,"bytes":%d},`+
+		`{"kind":"cache","path":%q,"key":%q,"sha256":%q,"bytes":%d}]}`+"\n",
+		jobID, output, sum, size, entry, cacheKey, entrySum, entrySize)
 	f, err := os.OpenFile(filepath.Join(ledgerDir, ledger.FileName), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +292,7 @@ func TestRunsListDiffGC(t *testing.T) {
 		}
 	}
 	code, out, errOut := runCLI(t, "runs", "show", "-ledger-dir", ledgerDir, jobID)
-	if code != exitOK || !strings.Contains(out, "hetarchd serve") || !strings.Contains(out, "verification ok") {
+	if code != exitOK || !strings.Contains(out, "hetarchd serve") || !strings.Contains(out, "verification ok: 2 artifacts") {
 		t.Fatalf("runs show of a hetarchd envelope exited %d: %s\n%s", code, errOut, out)
 	}
 
@@ -323,6 +336,15 @@ func TestRunsListDiffGC(t *testing.T) {
 	}
 	if len(lg.Envelopes) != 2 || lg.Envelopes[0].RunID != idB || lg.Envelopes[1].RunID != jobID {
 		t.Fatalf("post-gc ledger wrong: %d envelopes", len(lg.Envelopes))
+	}
+	// gc rewrote the file; the old envelope survives byte for byte, its
+	// cache artifact's key included.
+	raw, err := os.ReadFile(filepath.Join(ledgerDir, ledger.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), line) {
+		t.Fatalf("gc altered the old envelope; want line\n%s\nin ledger\n%s", line, raw)
 	}
 }
 

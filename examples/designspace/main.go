@@ -8,14 +8,10 @@
 // Run with:
 //
 //	go run ./examples/designspace
-//
-// Pass -cache-dir to persist characterizations: a second run then skips
-// density-matrix simulation entirely and prints identical results.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"log"
 
@@ -23,17 +19,7 @@ import (
 )
 
 func main() {
-	cacheDir := flag.String("cache-dir", "", "persist cell characterizations to this directory")
-	flag.Parse()
-
 	characterizer := hetarch.NewCharacterizer()
-	if *cacheDir != "" {
-		store, err := hetarch.OpenCharacterizationCache(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		characterizer = hetarch.NewCharacterizerWithStore(store)
-	}
 
 	// The storage candidates from the paper's Table 1: coherence grows with
 	// physical size — that is the tradeoff the sweep explores.

@@ -33,7 +33,6 @@ import (
 	"hetarch/internal/device"
 	"hetarch/internal/distill"
 	"hetarch/internal/dse"
-	dsecache "hetarch/internal/dse/cache"
 	"hetarch/internal/pauli"
 	"hetarch/internal/qec"
 	"hetarch/internal/statevec"
@@ -155,28 +154,10 @@ type Characterizer = core.Characterizer
 // NewCharacterizer returns an empty characterization cache.
 func NewCharacterizer() *Characterizer { return core.NewCharacterizer() }
 
-// CharacterizationStore is the persistence layer behind a Characterizer:
-// in-memory by default, or a content-addressed on-disk cache via
-// OpenCharacterizationCache.
-type CharacterizationStore = core.CharacterizationStore
-
-// NewCharacterizerWithStore returns a characterizer over the given store.
-func NewCharacterizerWithStore(s CharacterizationStore) *Characterizer {
-	return core.NewCharacterizerWithStore(s)
-}
-
-// OpenCharacterizationCache opens (creating if needed) a persistent
-// characterization cache directory: one versioned JSON entry per distinct
-// cell configuration, addressed by CharacterizationKey. Warm processes
-// sharing the directory skip density-matrix simulation entirely.
-func OpenCharacterizationCache(dir string) (CharacterizationStore, error) {
-	return dsecache.Open(dir)
-}
-
-// CharacterizationKey returns the canonical content address of a cell's
-// characterization: a hash of the cell's topology, every device parameter,
-// and the characterization code version.
-func CharacterizationKey(c *Cell) string { return dsecache.Key(c) }
+// CharacterizationKey returns the canonical memo key of a cell's
+// characterization: a rendering of the cell's topology and every device
+// parameter. Cells with equal keys characterize identically.
+func CharacterizationKey(c *Cell) string { return cell.Fingerprint(c) }
 
 // ErrorBudget composes independent module error contributions.
 type ErrorBudget = core.ErrorBudget

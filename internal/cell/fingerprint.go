@@ -8,21 +8,12 @@ import (
 	"hetarch/internal/densmat"
 )
 
-// CharacterizationVersion identifies the characterization code whose outputs
-// a persisted cache entry reflects. It folds in the density-matrix
-// simulator's version because every characterization is computed there.
-// Bump the local component whenever any Characterize* function changes in a
-// way that could alter an output bit (circuit structure, noise attribution,
-// reported ops); persistent caches keyed under the old version then simply
-// go cold instead of serving stale physics.
-const CharacterizationVersion = "cellchar/1 " + densmat.Version
-
 // Fingerprint renders the complete physical identity of a cell — topology
 // (elements, couplings, reserved external links, readout requirement) plus
 // every device parameter that enters characterization — as a canonical
 // string. Two cells with equal fingerprints are physically interchangeable:
-// their characterizations are bit-identical, which is what lets a persistent
-// cache (internal/dse/cache) address entries by a hash of this string.
+// their characterizations are bit-identical, which is what lets
+// core.Characterizer use this string as its memo key.
 //
 // Floats are serialized with densmat.CanonicalFloat (exact, injective);
 // map-shaped fields are emitted in sorted order; slice-shaped fields keep

@@ -1,9 +1,9 @@
 // Package core is the HetArch composer: it ties devices, standard cells and
-// modules into a hierarchy, memoizes cell characterizations so that module-
-// and system-level analyses never repeat device-level density-matrix
-// simulation, composes module error budgets phenomenologically, and provides
-// the design-space-exploration (DSE) sweep framework used by every
-// experiment in the evaluation section.
+// modules into a hierarchy, memoizes each cell characterization once per
+// process so that module- and system-level analyses never repeat
+// device-level density-matrix simulation, composes module error budgets
+// phenomenologically, and provides the design-space-exploration (DSE) sweep
+// framework used by every experiment in the evaluation section.
 package core
 
 import (
@@ -136,18 +136,14 @@ func (m *Module) Tree() string {
 // configuration is density-matrix-simulated once, then reused as a channel
 // across the whole design space sweep.
 //
-// Persistence is delegated to a CharacterizationStore: the default is the
-// in-memory MemStore (the historical behaviour), while a dse/cache.Dir
-// store makes characterizations survive the process. On top of the store,
-// the Characterizer runs misses single-flight: concurrent requests for the
-// same key — the normal case under the parallel sweep engine, whose workers
-// all reach the first grid point of a new cell configuration together —
-// perform exactly one density-matrix simulation, with the losers blocking
-// on the winner's result.
+// Misses run single-flight: concurrent requests for the same key — the
+// normal case under the parallel sweep engine, whose workers all reach the
+// first grid point of a new cell configuration together — perform exactly
+// one density-matrix simulation, with the losers blocking on the winner's
+// result.
 type Characterizer struct {
-	store CharacterizationStore
-
 	mu       sync.Mutex
+	memo     map[string]*cell.Characterization
 	inflight map[string]*flight
 }
 
@@ -159,33 +155,25 @@ type flight struct {
 	err  error
 }
 
-// NewCharacterizer returns a characterizer over a fresh in-memory store.
+// NewCharacterizer returns an empty characterizer.
 func NewCharacterizer() *Characterizer {
-	return NewCharacterizerWithStore(NewMemStore())
-}
-
-// NewCharacterizerWithStore returns a characterizer backed by the given
-// store (e.g. a persistent dse/cache directory).
-func NewCharacterizerWithStore(s CharacterizationStore) *Characterizer {
-	return &Characterizer{store: s, inflight: map[string]*flight{}}
+	return &Characterizer{memo: map[string]*cell.Characterization{}, inflight: map[string]*flight{}}
 }
 
 // Characterize returns the memoized characterization for key, running fn on
 // a miss. Keys must uniquely encode the cell's device parameters (use
-// cell.Fingerprint / dse/cache.Key for the canonical construction). A
-// result served from the store or from another goroutine's in-flight
-// simulation counts as a hit; only the goroutine that actually runs fn
-// counts a miss. Failed characterizations are never stored.
+// cell.Fingerprint for the canonical construction). A result served from
+// the memo or from another goroutine's in-flight simulation counts as a
+// hit; only the goroutine that actually runs fn counts a miss. Failed
+// characterizations are never stored.
 func (ch *Characterizer) Characterize(key string, c *cell.Cell, fn func(*cell.Cell) (*cell.Characterization, error)) (*cell.Characterization, error) {
 	charCalls.Inc()
-	if got, ok, err := ch.store.Load(key); err != nil {
-		return nil, err
-	} else if ok {
+	ch.mu.Lock()
+	if got, ok := ch.memo[key]; ok {
+		ch.mu.Unlock()
 		charHits.Inc()
 		return got, nil
 	}
-
-	ch.mu.Lock()
 	if f, ok := ch.inflight[key]; ok {
 		ch.mu.Unlock()
 		<-f.done
@@ -201,14 +189,14 @@ func (ch *Characterizer) Characterize(key string, c *cell.Cell, fn func(*cell.Ce
 
 	charMisses.Inc()
 	res, err := fn(c)
-	if err == nil {
-		err = ch.store.Store(key, res)
-	}
 	if err != nil {
 		res = nil
 	}
 	f.res, f.err = res, err
 	ch.mu.Lock()
+	if err == nil {
+		ch.memo[key] = res
+	}
 	delete(ch.inflight, key)
 	ch.mu.Unlock()
 	close(f.done)

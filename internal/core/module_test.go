@@ -2,9 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hetarch/internal/cell"
 	"hetarch/internal/device"
@@ -293,5 +297,96 @@ func TestCharacterizerErrorCountsAsMiss(t *testing.T) {
 	})
 	if calls, hits := ch.Stats(); calls-calls0 != 1 || hits-hits0 != 0 {
 		t.Fatalf("stats delta (%d,%d) after error, want (1,0)", calls-calls0, hits-hits0)
+	}
+}
+
+// TestCharacterizerSingleFlight releases many concurrent requests for one
+// key and requires exactly one execution of the characterization function,
+// with every caller receiving its result.
+func TestCharacterizerSingleFlight(t *testing.T) {
+	ch := NewCharacterizer()
+	var runs atomic.Int64
+	want := &cell.Characterization{Cell: "sf"}
+	start := make(chan struct{})
+	const callers = 16
+	var wg sync.WaitGroup
+	results := make([]*cell.Characterization, callers)
+	errs := make([]error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i], errs[i] = ch.Characterize("sf", nil, func(*cell.Cell) (*cell.Characterization, error) {
+				runs.Add(1)
+				time.Sleep(5 * time.Millisecond) // hold the flight open so followers pile up
+				return want, nil
+			})
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("characterization ran %d times for one key, want 1", got)
+	}
+	for i := 0; i < callers; i++ {
+		if errs[i] != nil || results[i] != want {
+			t.Fatalf("caller %d got (%p, %v), want the shared result", i, results[i], errs[i])
+		}
+	}
+}
+
+// TestCharacterizerSingleFlightError shares the leader's failure with
+// followers and leaves nothing cached, so a retry re-runs.
+func TestCharacterizerSingleFlightError(t *testing.T) {
+	ch := NewCharacterizer()
+	boom := fmt.Errorf("simulation diverged")
+	var runs atomic.Int64
+	release := make(chan struct{})
+	leaderIn := make(chan struct{})
+	var wg sync.WaitGroup
+	var followerErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _ = ch.Characterize("k", nil, func(*cell.Cell) (*cell.Characterization, error) {
+			runs.Add(1)
+			close(leaderIn)
+			<-release
+			return nil, boom
+		})
+	}()
+	<-leaderIn
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, followerErr = ch.Characterize("k", nil, func(*cell.Cell) (*cell.Characterization, error) {
+			runs.Add(1)
+			return nil, boom
+		})
+	}()
+	// Give the follower a moment to join the flight, then fail the leader.
+	time.Sleep(2 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if !errors.Is(followerErr, boom) && followerErr != nil {
+		// The follower either joined the flight (shared error) or ran after
+		// the flight closed (its own execution, same error).
+		t.Fatalf("follower error = %v, want %v", followerErr, boom)
+	}
+	if followerErr == nil {
+		t.Fatal("follower unexpectedly succeeded")
+	}
+	// The failure must not be cached: a fresh call re-runs.
+	prev := runs.Load()
+	_, err := ch.Characterize("k", nil, func(*cell.Cell) (*cell.Characterization, error) {
+		runs.Add(1)
+		return &cell.Characterization{Cell: "ok"}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != prev+1 {
+		t.Fatal("failed characterization was cached")
 	}
 }

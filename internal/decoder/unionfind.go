@@ -16,8 +16,8 @@ var (
 )
 
 // Boundary is the virtual node index representing the open boundary of a
-// matching graph. Defect chains may terminate on it at the cost of the
-// edge's weight.
+// matching graph. Defect chains may terminate on it through any boundary
+// edge; every edge, boundary edges included, has unit length.
 const Boundary = -1
 
 // Edge is one error mechanism in a matching graph: it connects two detector

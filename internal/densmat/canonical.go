@@ -2,22 +2,13 @@ package densmat
 
 import "strconv"
 
-// Version identifies the numerical behaviour of this package for
-// content-addressed caching of characterization results (internal/dse/cache).
-// A density-matrix characterization is a pure function of the cell's device
-// parameters AND of this simulator's numerics; persisted results are only
-// reusable while both are unchanged. Bump this string whenever a change to
-// the simulator could alter any output bit (channel definitions, gate
-// application order, fidelity formulas, float evaluation order).
-const Version = "densmat/1"
-
 // CanonicalFloat renders f in a canonical, bit-exact, architecture-
 // independent form — the hexadecimal floating-point format, which is an
 // injective encoding of the float64 bit pattern for all finite values (and
-// distinguishes ±Inf and NaN). Cache keys derived from device parameters
-// must use this rather than %g/%v: two decimal renderings can collide on
-// distinct floats, and any lossy rendering would alias distinct physical
-// configurations to one cache entry.
+// distinguishes ±Inf and NaN). Memo keys derived from device parameters
+// (cell.Fingerprint) must use this rather than %g/%v: two decimal
+// renderings can collide on distinct floats, and any lossy rendering would
+// alias distinct physical configurations to one memo entry.
 func CanonicalFloat(f float64) string {
 	return strconv.FormatFloat(f, 'x', -1, 64)
 }

@@ -14,9 +14,8 @@
 // therefore bit-identical for any number of workers, making -workers a pure
 // throughput knob for DSE exactly as it is for Monte Carlo.
 //
-// The companion package internal/dse/cache provides the persistent,
-// content-addressed characterization store that makes sweeps cheap across
-// processes, not just within one.
+// The memo itself is core.Characterizer: callers share one across a sweep,
+// so each distinct cell is simulated once per process.
 package dse
 
 import (

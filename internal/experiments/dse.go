@@ -3,26 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"hetarch/internal/cell"
 	"hetarch/internal/core"
 	"hetarch/internal/device"
 	"hetarch/internal/dse"
-	dsecache "hetarch/internal/dse/cache"
 )
-
-// DSEOptions configures the design-space exploration runner.
-type DSEOptions struct {
-	// Workers is the sweep engine's goroutine count (<= 0 means
-	// runtime.NumCPU()). Results are worker-count independent.
-	Workers int
-	// Store backs the characterization cache. nil means a fresh in-memory
-	// store (every run pays characterization once per distinct cell); a
-	// dse/cache.Dir makes characterizations persistent, so warm runs skip
-	// density-matrix simulation entirely.
-	Store core.CharacterizationStore
-}
 
 // DSEResult is a completed design-space exploration: the full swept grid,
 // its Pareto front, and the characterization-cache accounting for the run.
@@ -48,27 +34,24 @@ func dseParams() []core.Param {
 // DSE runs the design-space exploration over the distillation module's
 // register parameters on the parallel sweep engine, demonstrating the
 // paper's simulation-hierarchy payoff: each distinct standard-cell
-// configuration is density-matrix-characterized once — in this process or
-// any earlier one sharing the same persistent store — and every grid point
+// configuration is density-matrix-characterized once, and every grid point
 // evaluates the module-level metric from the cached channel abstraction.
+// workers is the sweep engine's goroutine count (<= 0 means
+// runtime.NumCPU()).
 //
 // The swept results and Pareto front are bit-identical for any worker
-// count and for any cache state (cold, warm, in-memory): the cache changes
-// only where characterizations come from, never what they contain.
-func DSE(ctx context.Context, opts DSEOptions) (*DSEResult, error) {
-	store := opts.Store
-	if store == nil {
-		store = core.NewMemStore()
-	}
-	ch := core.NewCharacterizerWithStore(store)
+// count, and so is the accounting: single-flight makes the number of
+// simulations the number of distinct cells.
+func DSE(ctx context.Context, workers int) (*DSEResult, error) {
+	ch := core.NewCharacterizer()
 	// Stats reads the process-wide registry; difference it around the sweep
 	// so the reported numbers are this run's own.
 	calls0, hits0 := ch.Stats()
-	results, err := dse.Sweep(ctx, dseParams(), dse.Config{Workers: opts.Workers}, func(p core.Point) (map[string]float64, error) {
+	results, err := dse.Sweep(ctx, dseParams(), dse.Config{Workers: workers}, func(p core.Point) (map[string]float64, error) {
 		ts := p["tsMillis"] * 1000
 		modes := int(p["modes"])
 		reg := cell.NewRegister(device.StandardStorage(ts, modes), device.StandardComputeNoReadout(500), 2)
-		char, err := ch.Characterize(dsecache.Key(reg), reg, cell.CharacterizeRegister)
+		char, err := ch.Characterize(cell.Fingerprint(reg), reg, cell.CharacterizeRegister)
 		if err != nil {
 			return nil, err
 		}
@@ -103,9 +86,8 @@ func DSE(ctx context.Context, opts DSEOptions) (*DSEResult, error) {
 }
 
 // Table renders the Pareto front as a standard experiment table, so the
-// CLI's text and JSON emitters both work. Only sweep outputs appear here —
-// cache statistics vary between cold and warm runs and belong on stderr
-// (FprintDSEStats), keeping stdout bit-identical across cache states.
+// CLI's text and JSON emitters both work. Only sweep outputs appear here;
+// the cache accounting (Calls, Hits) is telemetry.
 func (r *DSEResult) Table() *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Design-space exploration: Register cell (%d grid points, %d Pareto-optimal)", len(r.Results), len(r.Front)),
@@ -120,39 +102,4 @@ func (r *DSEResult) Table() *Table {
 		})
 	}
 	return t
-}
-
-// FprintDSEStats reports the run's characterization-cache accounting —
-// telemetry, not results, so runners print it to stderr.
-func (r *DSEResult) FprintDSEStats(w io.Writer) {
-	fmt.Fprintf(w, "dse: %d grid points, %d characterizations requested, %d served from cache (%.0f%%)\n",
-		len(r.Results), r.Calls, r.Hits, 100*float64(r.Hits)/float64(r.Calls))
-}
-
-// DSEDemo runs DSE at default settings with an in-memory cache. It is the
-// historical entry point kept for the facade and benchmarks; new callers
-// should use DSE directly.
-func DSEDemo() (results []core.Result, front []core.Result, calls, hits int) {
-	r, err := DSE(context.Background(), DSEOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return r.Results, r.Front, r.Calls, r.Hits
-}
-
-// FprintDSE renders the DSE demo summary (results and cache accounting on
-// one stream; the CLI uses DSEResult.Table and FprintDSEStats instead to
-// keep stdout cache-state independent).
-func FprintDSE(w io.Writer) {
-	results, front, calls, hits := DSEDemo()
-	fmt.Fprintln(w, "== Design-space exploration (Register cell) ==")
-	fmt.Fprintf(w, "grid points evaluated: %d\n", len(results))
-	fmt.Fprintf(w, "cell characterizations requested: %d, served from cache: %d (%.0f%%)\n",
-		calls, hits, 100*float64(hits)/float64(calls))
-	fmt.Fprintf(w, "Pareto front (min storedError, min footprint): %d points\n", len(front))
-	for _, r := range front {
-		fmt.Fprintf(w, "  ts=%gms modes=%g window=%gus -> storedError=%.3g footprint=%.0fmm^2\n",
-			r.Point["tsMillis"], r.Point["modes"], r.Point["idleWindowUs"],
-			r.Metrics["storedError"], r.Metrics["footprint"])
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetarch/internal/obs"
 	"hetarch/internal/obs/stats"
 )
 
@@ -233,21 +234,28 @@ func TestTable4Shape(t *testing.T) {
 	}
 }
 
+// TestDSECacheWorks pins the paper's "characterize once" claim: the
+// 70-point sweep over 14 distinct register cells requests one
+// characterization per point and simulates each cell exactly once, at any
+// worker count, because workers that reach a cell together share one
+// simulation. No test in this package calls t.Parallel, so the
+// process-wide counters read here are this sweep's alone.
 func TestDSECacheWorks(t *testing.T) {
-	results, front, calls, hits := DSEDemo()
-	if len(results) != 70 {
-		t.Fatalf("grid size %d", len(results))
-	}
-	if hits*10 < calls*7 {
-		t.Fatalf("cache hit rate too low: %d/%d", hits, calls)
-	}
-	if len(front) == 0 {
-		t.Fatal("empty Pareto front")
-	}
-	var buf bytes.Buffer
-	FprintDSE(&buf)
-	if !strings.Contains(buf.String(), "Pareto front") {
-		t.Fatal("summary missing")
+	misses := obs.C("core.characterize.misses")
+	for _, workers := range []int{1, 4} {
+		misses0 := misses.Value()
+		r, err := DSE(context.Background(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims := misses.Value() - misses0
+		if len(r.Results) != 70 || r.Calls != 70 || r.Hits != 56 || sims != 14 {
+			t.Fatalf("workers=%d: %d points, %d calls, %d hits, %d simulations; want 70, 70, 56, 14",
+				workers, len(r.Results), r.Calls, r.Hits, sims)
+		}
+		if len(r.Front) == 0 {
+			t.Fatalf("workers=%d: empty Pareto front", workers)
+		}
 	}
 }
 

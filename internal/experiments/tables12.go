@@ -7,7 +7,6 @@ import (
 	"hetarch/internal/cell"
 	"hetarch/internal/core"
 	"hetarch/internal/device"
-	dsecache "hetarch/internal/dse/cache"
 )
 
 // Table1 prints the near-term device catalog (paper Table 1).
@@ -29,22 +28,7 @@ func Table1(w io.Writer) {
 // Table2 prints the standard cells with design-rule verification and
 // density-matrix characterization (paper Table 2), paying full simulation
 // for every cell.
-func Table2(w io.Writer) error { return Table2Store(w, nil) }
-
-// Table2Store is Table2 with characterization routed through a
-// CharacterizationStore: with a persistent store (-cache-dir), a warm run
-// prints the identical table while skipping density-matrix simulation.
-// A nil store characterizes directly, the historical behaviour.
-func Table2Store(w io.Writer, store core.CharacterizationStore) error {
-	characterize := func(c *cell.Cell, fn func(*cell.Cell) (*cell.Characterization, error)) (*cell.Characterization, error) {
-		return fn(c)
-	}
-	if store != nil {
-		ch := core.NewCharacterizerWithStore(store)
-		characterize = func(c *cell.Cell, fn func(*cell.Cell) (*cell.Characterization, error)) (*cell.Characterization, error) {
-			return ch.Characterize(dsecache.Key(c), c, fn)
-		}
-	}
+func Table2(w io.Writer) error {
 	fmt.Fprintln(w, "== Table 2: quantum standard cells ==")
 	storage := func() *device.Device { return device.StandardStorage(12500, 10) }
 	compute := func() *device.Device { return device.StandardCompute(500) }
@@ -72,7 +56,7 @@ func Table2Store(w io.Writer, store core.CharacterizationStore) error {
 		if entry.char == nil {
 			continue
 		}
-		ch, err := characterize(entry.c, entry.char)
+		ch, err := entry.char(entry.c)
 		if err != nil {
 			return err
 		}
@@ -82,3 +66,7 @@ func Table2Store(w io.Writer, store core.CharacterizationStore) error {
 	}
 	return nil
 }
+
+// Table2Store is Table2. It exists only for cmd/hetarchbench, which calls
+// Table2Store(w, nil); the Characterizer is ignored.
+func Table2Store(w io.Writer, _ *core.Characterizer) error { return Table2(w) }

@@ -1,7 +1,7 @@
 // Package jsonl owns the crash policy of every file hetarch keeps across
 // processes: the append-only JSONL logs (run ledger, mc checkpoint, flight
-// recorder) and the files replaced whole (dse cache entries, finalized
-// recorder artifacts).
+// recorder) and the files replaced whole (finalized recorder artifacts, a
+// ledger rewritten by gc, a checkpoint cut back to its last whole record).
 //
 // The policy:
 //

@@ -3,9 +3,9 @@
 // crash-tolerant JSONL file, recording the run's identity (run ID, args,
 // seed, workers, git revision), its outcome (start/end, exit status,
 // headline metrics with Wilson CIs), and a manifest of every artifact the
-// run wrote — flight-recorder journal, checkpoint, Chrome trace, cache
-// entries — each with a SHA-256 digest so provenance can be verified after
-// the fact (`hetarch runs show`).
+// run wrote — flight-recorder journal, checkpoint, Chrome trace — each with
+// a SHA-256 digest so provenance can be verified after the fact (`hetarch
+// runs show`).
 //
 // The file follows the append-only line discipline of internal/jsonl:
 // every envelope is one newline-terminated line written with a single
@@ -88,19 +88,18 @@ func DefaultDir() (string, bool) {
 
 // Artifact is one file a run wrote, with enough to find and verify it.
 type Artifact struct {
-	// Kind is the producer: "recorder", "checkpoint", "trace", "cache",
-	// or, in older ledgers, "output" (a table the retired hetarchd job
-	// service wrote). Only `runs diff` branches on it, to find the
-	// recorder; every kind lists and verifies alike.
+	// Kind is the producer: "recorder", "checkpoint" or "trace". Older
+	// ledgers also hold "output" (a table the retired hetarchd job service
+	// wrote) and "cache" (an entry of the retired on-disk characterization
+	// cache, which also carried a "key" field that decoding now ignores;
+	// `runs gc` keeps such lines byte for byte). Only `runs diff` branches
+	// on Kind, to find the recorder; every kind lists and verifies alike.
 	Kind string `json:"kind"`
 	// Path is absolute, so the ledger, which every directory shares,
 	// finds the file from any working directory. Envelopes written before
 	// FileArtifact resolved it keep the path as it was typed, relative to
 	// that run's working directory.
-	Path string `json:"path"`
-	// Key is the content address for cache entries (the dse/cache key the
-	// entry file stores).
-	Key    string `json:"key,omitempty"`
+	Path   string `json:"path"`
 	SHA256 string `json:"sha256,omitempty"`
 	Bytes  int64  `json:"bytes,omitempty"`
 }

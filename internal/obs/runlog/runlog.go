@@ -145,7 +145,6 @@ var (
 	EvRunInterrupted   = Event("run.interrupted")
 	EvExperimentDone   = Event("run.experiment_done")
 	EvCheckpointResume = Event("run.checkpoint_resume")
-	EvCacheOpen        = Event("run.cache_open")
 	EvTraceWritten     = Event("run.trace_written")
 	EvLedgerDisabled   = Event("run.ledger_disabled")
 )

@@ -1,6 +1,6 @@
 // Package trace is the engine flight profiler: a low-overhead,
 // fixed-capacity buffer of typed phase events (shard executed, point
-// evaluated, cache hit, ...) stamped with worker lanes and monotonic
+// evaluated, checkpoint hit, ...) stamped with worker lanes and monotonic
 // timestamps, exportable as Chrome Trace Event Format JSON that opens
 // directly in Perfetto or chrome://tracing.
 //
