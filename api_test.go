@@ -4,6 +4,8 @@ package hetarch
 // be usable end to end exactly as the examples use them.
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -112,6 +114,10 @@ func TestFacadeDistillation(t *testing.T) {
 	if ps <= 0 || out.Fidelity() <= 0.9 {
 		t.Fatal("DEJMPS through facade broken")
 	}
+	out, ps = BBPSSW(a, a, 0)
+	if out.Fidelity() <= 0.9 || ps <= 0 {
+		t.Fatal("BBPSSW through facade broken")
+	}
 }
 
 func TestFacadeSurfaceMemory(t *testing.T) {
@@ -120,7 +126,10 @@ func TestFacadeSurfaceMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := m.Run(300, 5)
+	res, err := m.RunContext(context.Background(), 300, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Shots != 300 {
 		t.Fatal("run accounting wrong")
 	}
@@ -132,7 +141,10 @@ func TestFacadeUEC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := m.Run(500, 7)
+	r, err := m.RunContext(context.Background(), 500, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.LogicalErrorRate() < 0 || r.LogicalErrorRate() > 1 {
 		t.Fatal("rate out of range")
 	}
@@ -142,7 +154,7 @@ func TestFacadeCodeTeleport(t *testing.T) {
 	p := NewCodeTeleportParams(SteaneCode(), SurfaceCode(3), 25, true)
 	p.NativeB = true
 	p.Shots = 800
-	r, err := CodeTeleport(p)
+	r, err := CodeTeleport(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +164,13 @@ func TestFacadeCodeTeleport(t *testing.T) {
 }
 
 func TestFacadeSweepAndPareto(t *testing.T) {
-	results := Sweep([]SweepParam{{Name: "x", Values: []float64{1, 2, 3}}}, func(p SweepPoint) map[string]float64 {
-		return map[string]float64{"y": p["x"] * p["x"], "z": -p["x"]}
-	})
+	results, err := SweepParallel(context.Background(), []SweepParam{{Name: "x", Values: []float64{1, 2, 3}}}, 0,
+		func(p SweepPoint) (map[string]float64, error) {
+			return map[string]float64{"y": p["x"] * p["x"], "z": -p["x"]}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 3 {
 		t.Fatal("sweep size")
 	}
@@ -178,42 +194,36 @@ func TestFacadeLookupDecoder(t *testing.T) {
 }
 
 func TestFacadePseudothreshold(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bisection")
+	pt, ok, err := UECPseudothreshold(context.Background(), NewUECParams(SteaneCode(), 50, true), 1500, 9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pt, ok := UECPseudothreshold(NewUECParams(SteaneCode(), 50, true), 1500, 9)
 	if !ok || pt <= 0 || math.IsNaN(pt) {
 		t.Fatalf("pseudothreshold (%v, %v)", pt, ok)
 	}
 }
 
-func TestFacadeStateVectorAndMemory(t *testing.T) {
-	cat := NewCATState(12)
-	if cat.NumQubits() != 12 {
-		t.Fatal("CAT size wrong")
+// The facade's Monte Carlo entry points stop on a cancelled context and
+// report it, instead of running to completion or panicking.
+func TestFacadeMonteCarloHonoursCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	pt, ok, err := UECPseudothreshold(ctx, NewUECParams(SteaneCode(), 50, true), 1500, 9)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("UECPseudothreshold error %v, want context.Canceled", err)
 	}
-	if p := cat.Prob(0, 0); math.Abs(p-0.5) > 1e-10 {
-		t.Fatalf("CAT marginal %v", p)
-	}
-	sv := NewStateVector(2)
-	sv.H(0)
-	sv.CX(0, 1)
-	if math.Abs(sv.ExpectationPauli("ZZ")-1) > 1e-10 {
-		t.Fatal("Bell prep through facade broken")
+	if ok || pt != 0 {
+		t.Fatalf("cancelled pseudothreshold returned (%v, %v)", pt, ok)
 	}
 
-	mem, err := NewUECMemory(NewUECParams(SteaneCode(), 25, true), 3)
-	if err != nil {
-		t.Fatal(err)
+	p := NewCodeTeleportParams(SteaneCode(), SurfaceCode(3), 25, true)
+	p.Shots = 800
+	r, err := CodeTeleport(ctx, p)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("CodeTeleport error %v, want context.Canceled", err)
 	}
-	res := mem.Run(400, 3)
-	if res.Shots != 400 {
-		t.Fatal("memory run accounting wrong")
-	}
-
-	a := NewWernerPair(0.9)
-	out, ps := BBPSSW(a, a, 0)
-	if out.Fidelity() <= 0.9 || ps <= 0 {
-		t.Fatal("BBPSSW through facade broken")
+	if r != nil {
+		t.Fatalf("cancelled CodeTeleport returned %+v", r)
 	}
 }

@@ -108,21 +108,24 @@ func BenchmarkDSESpeedup(b *testing.B) {
 			// Disable memoization by making every key unique.
 			ch := NewCharacterizer()
 			points := 0
-			Sweep([]SweepParam{
+			_, err := SweepParallel(context.Background(), []SweepParam{
 				{Name: "tsMillis", Values: []float64{0.5, 1, 2.5, 5, 12.5, 25, 50}},
 				{Name: "modes", Values: []float64{3, 10}},
 				{Name: "idleWindowUs", Values: []float64{1, 5, 10, 50, 100}},
-			}, func(p SweepPoint) map[string]float64 {
-				points++
+			}, 1, func(p SweepPoint) (map[string]float64, error) {
+				points++ // one worker: points are evaluated in order
 				reg := NewRegister(NewStandardStorage(p["tsMillis"]*1000, int(p["modes"])),
 					NewStandardComputeNoReadout(500), 2)
 				key := string(rune(points)) // unique per point: cache never hits
 				char, err := ch.Characterize(key, reg, CharacterizeRegister)
 				if err != nil {
-					b.Fatal(err)
+					return nil, err
 				}
-				return map[string]float64{"err": char.MustOp("load").ErrorRate()}
+				return map[string]float64{"err": char.MustOp("load").ErrorRate()}, nil
 			})
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -228,7 +231,9 @@ func BenchmarkAblationSerialVsParallel(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(100, int64(i))
+				if _, err := e.RunContext(context.Background(), 100, int64(i), 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -258,23 +263,11 @@ func BenchmarkSurfaceSharded(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e.RunSharded(4096, int64(i), workers)
+				if _, err := e.RunContext(context.Background(), 4096, int64(i), workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
-	}
-}
-
-// BenchmarkSurfaceCodeShot measures one full d=13 sample-and-decode cycle,
-// the unit of work behind Fig. 6.
-func BenchmarkSurfaceCodeShot(b *testing.B) {
-	e, err := surface.New(surface.DefaultParams(13))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := surface.NewSampler(e, rand.New(rand.NewSource(2)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SampleAndDecode()
 	}
 }
 
@@ -296,7 +289,9 @@ func BenchmarkAblationScheduleOptimizer(b *testing.B) {
 			b.ReportMetric(e.CycleDuration, "us/cycle")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(100, int64(i))
+				if _, err := e.RunContext(context.Background(), 100, int64(i), 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

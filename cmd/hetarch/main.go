@@ -146,6 +146,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args[1:]); err != nil {
 		return exitUsage // flag package already printed the problem to stderr
 	}
+	// flag stops at the first non-flag argument, so a stray word would
+	// silently drop every flag after it.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "hetarch: unexpected argument %q\n", fs.Arg(0))
+		usage(fs, stderr)
+		return exitUsage
+	}
 
 	// Flag validation: misconfiguration is a usage error (exit 2), reported
 	// before any work starts.

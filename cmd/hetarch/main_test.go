@@ -56,6 +56,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"listen is not a flag", []string{"fig9", "-listen", "127.0.0.1:0"}, exitUsage, "flag provided but not defined: -listen"},
 		{"cache-dir is not a flag", []string{"dse", "-cache-dir", "d"}, exitUsage, "flag provided but not defined: -cache-dir"},
 		{"zero timeout", []string{"fig9", "-timeout", "0s"}, exitUsage, "-timeout must be positive"},
+		{"stray argument drops no flags", []string{"fig9", "-quick", "stray", "-seed", "99"}, exitUsage, `unexpected argument "stray"`},
 		{"ok no-MC experiment", []string{"devices"}, exitOK, ""},
 	}
 	for _, tc := range cases {

@@ -73,6 +73,14 @@ func runsMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return runsDiff(stdout, stderr, *ledgerDir, rest[0], rest[1], *tol)
 	}
+	// list and gc take no arguments. flag stops at the first non-flag word,
+	// so a stray one would silently drop the flags after it (gc would prune
+	// for real despite a later -dry-run).
+	if (sub == "list" || sub == "gc") && len(rest) > 0 {
+		fmt.Fprintf(stderr, "hetarch runs %s: unexpected argument %q\n", sub, rest[0])
+		runsUsage(stderr)
+		return exitUsage
+	}
 	path, err := ledgerFile(*ledgerDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "hetarch runs:", err)

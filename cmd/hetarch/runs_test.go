@@ -327,6 +327,21 @@ func TestRunsListDiffGC(t *testing.T) {
 	if code != exitOK || !strings.Contains(out, idA) {
 		t.Fatalf("gc -dry-run (exit %d) did not name the prunable run:\n%s", code, out)
 	}
+	// A stray word ends flag parsing, so the -dry-run after it would be
+	// lost and gc would prune for real. It is a usage error instead, and
+	// the ledger is left byte-identical.
+	ledgerPath := filepath.Join(ledgerDir, ledger.FileName)
+	before, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut = runCLI(t, "runs", "gc", "-ledger-dir", ledgerDir, "now", "-dry-run")
+	if code != exitUsage || !strings.Contains(errOut, `unexpected argument "now"`) {
+		t.Fatalf("gc with a stray argument exited %d, want %d: %s", code, exitUsage, errOut)
+	}
+	if after, err := os.ReadFile(ledgerPath); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("gc with a stray argument changed the ledger (read error %v)", err)
+	}
 	if code, _, _ = runCLI(t, "runs", "gc", "-ledger-dir", ledgerDir); code != exitOK {
 		t.Fatalf("runs gc exited %d", code)
 	}
@@ -441,6 +456,7 @@ func TestRunsUsageErrors(t *testing.T) {
 		{"runs", "frobnicate"},
 		{"runs", "show"},
 		{"runs", "diff", "onlyone"},
+		{"runs", "list", "x"},
 	} {
 		if code, _, _ := runCLI(t, args...); code != exitUsage {
 			t.Errorf("run(%q) = %d, want %d", args, code, exitUsage)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -23,7 +24,7 @@ func main() {
 		p := hetarch.NewCodeTeleportParams(steane, sc3, 25, heterogeneous)
 		p.NativeB = true // the surface code is lattice-native for the baseline
 		p.Shots = 8000
-		res, err := hetarch.CodeTeleport(p)
+		res, err := hetarch.CodeTeleport(context.Background(), p)
 		if err != nil {
 			log.Fatal(err)
 		}

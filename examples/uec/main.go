@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	code := hetarch.SteaneCode()
 	const shots = 10000
 
@@ -38,7 +40,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			total += m.Run(shots, 11).LogicalErrorRate()
+			r, err := m.RunContext(ctx, shots, 11, 0)
+			if err != nil {
+				log.Fatal(err)
+			}
+			total += r.LogicalErrorRate()
 		}
 		return total
 	}
@@ -54,7 +60,10 @@ func main() {
 	fmt.Printf("\n  homogeneous lattice baseline:               logical error/cycle = %.4f\n", hom)
 
 	// Where does error correction start paying for itself on this module?
-	pt, ok := hetarch.UECPseudothreshold(hetarch.NewUECParams(code, 25, true), 4000, 11)
+	pt, ok, err := hetarch.UECPseudothreshold(ctx, hetarch.NewUECParams(code, 25, true), 4000, 11)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if ok {
 		fmt.Printf("\n  gate-error pseudothreshold of the serialized module: %.4f\n", pt)
 	}

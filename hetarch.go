@@ -35,7 +35,6 @@ import (
 	"hetarch/internal/dse"
 	"hetarch/internal/pauli"
 	"hetarch/internal/qec"
-	"hetarch/internal/statevec"
 	"hetarch/internal/surface"
 	"hetarch/internal/uec"
 )
@@ -171,11 +170,6 @@ type SweepPoint = core.Point
 // SweepResult pairs a point with its metrics.
 type SweepResult = core.Result
 
-// Sweep evaluates the full factorial grid.
-func Sweep(params []SweepParam, fn func(SweepPoint) map[string]float64) []SweepResult {
-	return core.Sweep(params, fn)
-}
-
 // ParetoFront filters sweep results to the Pareto-optimal set.
 func ParetoFront(results []SweepResult, minimize []string) []SweepResult {
 	return core.ParetoFront(results, minimize)
@@ -287,9 +281,10 @@ func NewUECModule(p UECParams) (*UECModule, error) { return uec.New(p) }
 
 // UECPseudothreshold locates the module's gate-error break-even point,
 // sampling each grid point on all cores (the fitted value is worker-count
-// independent; see internal/mc).
-func UECPseudothreshold(base UECParams, shots int, seed int64) (float64, bool) {
-	return uec.Pseudothreshold(base, shots, seed, 0)
+// independent; see internal/mc). Cancelling ctx abandons the fit and
+// returns the engine's error.
+func UECPseudothreshold(ctx context.Context, base UECParams, shots int, seed int64) (float64, bool, error) {
+	return uec.PseudothresholdContext(ctx, base, shots, seed, 0)
 }
 
 // Code teleportation (Section 4.3).
@@ -305,9 +300,10 @@ func NewCodeTeleportParams(a, b *Code, tsMillis float64, heterogeneous bool) Cod
 	return codetelep.DefaultParams(a, b, tsMillis, heterogeneous)
 }
 
-// CodeTeleport evaluates the CT module error model.
-func CodeTeleport(p CodeTeleportParams) (*CodeTeleportResult, error) {
-	return codetelep.Evaluate(p)
+// CodeTeleport evaluates the CT module error model. Cancelling ctx aborts
+// its Monte Carlo sub-module runs and returns the engine's error.
+func CodeTeleport(ctx context.Context, p CodeTeleportParams) (*CodeTeleportResult, error) {
+	return codetelep.EvaluateContext(ctx, p)
 }
 
 // Protocol-level code teleportation (Fig. 10).
@@ -328,29 +324,6 @@ func PrepareCTState(a, b *Code, rng *rand.Rand) (*StabilizerTableau, *CTLayout, 
 // and the joint logical XX and ZZ operators of |Φ+⟩_AB.
 func VerifyCTState(tb *StabilizerTableau, layout *CTLayout) error {
 	return codetelep.VerifyCTState(tb, layout)
-}
-
-// Pure-state simulation tier.
-
-// StateVector is a pure-state simulator for noiseless structural
-// verification at sizes beyond the density-matrix tier (20+ qubits).
-type StateVector = statevec.State
-
-// NewStateVector returns |0…0⟩ over n qubits.
-func NewStateVector(n int) *StateVector { return statevec.New(n) }
-
-// NewCATState prepares the n-qubit GHZ (CAT) state.
-func NewCATState(n int) *StateVector { return statevec.GHZ(n) }
-
-// Multi-round UEC memory.
-
-// UECMemory is an R-round serialized memory experiment on the universal
-// error-correction module.
-type UECMemory = uec.MemoryExperiment
-
-// NewUECMemory compiles an R-round UEC memory experiment.
-func NewUECMemory(p UECParams, rounds int) (*UECMemory, error) {
-	return uec.NewMemory(p, rounds)
 }
 
 // BBPSSW applies one round of the Bennett et al. purification protocol

@@ -118,15 +118,10 @@ func (r *Result) CI(confidence float64) *stats.Interval {
 	return &iv
 }
 
-// Evaluate composes the CT module error model for the parameter set.
-func Evaluate(p Params) (*Result, error) {
-	return EvaluateContext(context.Background(), p)
-}
-
-// EvaluateContext is Evaluate under a context: cancellation aborts the
-// Monte Carlo sub-module runs (distillation ensemble and the four UEC
-// evaluations) and returns the engine's error rather than a half-composed
-// budget.
+// EvaluateContext composes the CT module error model for the parameter
+// set. Cancellation aborts the Monte Carlo sub-module runs (distillation
+// ensemble and the four UEC evaluations) and returns the engine's error
+// rather than a half-composed budget.
 func EvaluateContext(ctx context.Context, p Params) (*Result, error) {
 	if p.CodeA == nil || p.CodeB == nil {
 		return nil, fmt.Errorf("codetelep: nil code")

@@ -1,6 +1,7 @@
 package codetelep
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestEvaluateProducesBudget(t *testing.T) {
 	sc4, _ := qec.Surface(4)
 	p := fastParams(sc3, sc4, 50, true)
 	p.NativeA, p.NativeB = true, true
-	r, err := Evaluate(p)
+	r, err := EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +63,13 @@ func TestHeterogeneousBeatsHomogeneousForEveryPair(t *testing.T) {
 			a, b := codes[i], codes[j]
 			ph := fastParams(a.code, b.code, 50, true)
 			ph.NativeA, ph.NativeB = a.native, b.native
-			rh, err := Evaluate(ph)
+			rh, err := EvaluateContext(context.Background(), ph)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pm := fastParams(a.code, b.code, 50, false)
 			pm.NativeA, pm.NativeB = a.native, b.native
-			rm, err := Evaluate(pm)
+			rm, err := EvaluateContext(context.Background(), pm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +88,7 @@ func TestStorageLifetimeImprovesCT(t *testing.T) {
 		p := fastParams(sc3, sc4, ts, true)
 		p.NativeA, p.NativeB = true, true
 		p.Shots = 6000
-		r, err := Evaluate(p)
+		r, err := EvaluateContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestLowRateHomogeneousDistillationFails(t *testing.T) {
 	p := fastParams(sc3, sc4, 50, false)
 	p.NativeA, p.NativeB = true, true
 	p.EPRateKHz = 100 // below the homogeneous viability point
-	r, err := Evaluate(p)
+	r, err := EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestLowRateHomogeneousDistillationFails(t *testing.T) {
 }
 
 func TestNilCodeRejected(t *testing.T) {
-	if _, err := Evaluate(Params{}); err == nil {
+	if _, err := EvaluateContext(context.Background(), Params{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -130,11 +131,11 @@ func TestBiggerCodesCostMoreCAT(t *testing.T) {
 	small := fastParams(qec.Steane(), sc3, 50, true)
 	small.NativeB = true
 	big := fastParams(qec.ReedMuller15(), qec.TriColor5(), 50, true)
-	rs, err := Evaluate(small)
+	rs, err := EvaluateContext(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Evaluate(big)
+	rb, err := EvaluateContext(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
 	}

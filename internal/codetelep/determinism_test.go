@@ -1,14 +1,15 @@
 package codetelep
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"hetarch/internal/qec"
 )
 
-// Evaluate composes sharded UEC runs and the distillation ensemble; the
-// whole composition must be worker-count independent.
+// EvaluateContext composes sharded UEC runs and the distillation ensemble;
+// the whole composition must be worker-count independent.
 func TestEvaluateDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc3, _ := qec.Surface(3)
 	p := DefaultParams(qec.Steane(), sc3, 25, true)
@@ -18,7 +19,7 @@ func TestEvaluateDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) Result {
 		pp := p
 		pp.Workers = workers
-		r, err := Evaluate(pp)
+		r, err := EvaluateContext(context.Background(), pp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,16 +19,16 @@ import (
 // follows.
 var lookupDecodes = obs.C("decoder.lookup.decodes")
 
-// Lookup is a minimum-weight coset decoder for one error sector of a CSS
-// code: it maps a syndrome (bitmask over the opposite-type stabilizers) to
-// the minimum-weight data-error support producing that syndrome. For codes
-// of the sizes used here this is exact maximum-likelihood decoding under any
-// monotone iid error model.
+// Lookup is a minimum-weight decoder for one error sector of a CSS code:
+// it maps a syndrome (bitmask over the opposite-type stabilizers) to the
+// minimum-weight data-error support producing that syndrome. It is not
+// maximum-likelihood: it picks one lowest-weight error per syndrome and
+// ignores degeneracy, so it does not sum the probabilities of the errors
+// that differ by a stabilizer and compare logical classes.
 type Lookup struct {
 	n          int
 	checkMasks []uint64 // stabilizer supports that detect this error type
 	table      map[uint64]uint64
-	maxWeight  int
 }
 
 // NewLookup builds the table by breadth-first enumeration of error supports
@@ -45,7 +45,6 @@ func NewLookup(n int, checkMasks []uint64) *Lookup {
 	// XOR, and every syndrome is reachable (checks are independent), so the
 	// loop terminates at or before weight n.
 	for w := 1; uint64(len(l.table)) < total && w <= n; w++ {
-		l.maxWeight = w
 		enumerateCombinations(n, w, func(mask uint64) {
 			s := l.Syndrome(mask)
 			if _, ok := l.table[s]; !ok {
@@ -77,10 +76,6 @@ func (l *Lookup) Decode(syndrome uint64) uint64 {
 	}
 	return c
 }
-
-// MaxTableWeight reports the largest error weight that was needed to fill
-// the table — a diagnostic for how deep the coset leaders go.
-func (l *Lookup) MaxTableWeight() int { return l.maxWeight }
 
 // TableSize returns the number of distinct syndromes covered.
 func (l *Lookup) TableSize() int { return len(l.table) }

@@ -107,9 +107,9 @@ func randomDefectWords(rng *splitmix.RNG, words []uint64, density int) {
 
 // TestSparseDecoderMatchesReference pins the rewritten sparse decoder to
 // the historical dense implementation (reference_test.go) on 10k randomized
-// shots per graph: every prediction must agree bit for bit, through all
-// three entry points (dense Decode, DecodeBits, DecodeBatch) and with the
-// decoder instance reused across shots so the epoch-stamped scratch is
+// shots per graph: every prediction must agree bit for bit, through both
+// entry points (dense Decode and DecodeBatch) and with the decoder
+// instance reused across shots so the epoch-stamped scratch is
 // exercised the way the shard runners use it. The planar graph is the real
 // d=13 surface-code sector: at ~147 defects per shot the peel seeds every
 // tree-edge endpoint and both of its bitsets span many words, a regime the
@@ -154,9 +154,6 @@ func TestSparseDecoderMatchesReference(t *testing.T) {
 					want := ref.Decode(dense)
 					if preds[s] != want {
 						t.Fatalf("shot %d: DecodeBatch=%d reference=%d", done+s, preds[s], want)
-					}
-					if got := u.DecodeBits(words, s); got != want {
-						t.Fatalf("shot %d: DecodeBits=%d reference=%d", done+s, got, want)
 					}
 					if got := u.Decode(dense); got != want {
 						t.Fatalf("shot %d: Decode=%d reference=%d", done+s, got, want)
@@ -209,8 +206,8 @@ func TestSparseDecoderFreshVsReused(t *testing.T) {
 }
 
 // TestDecodeSteadyStateZeroAllocs is the allocation gate for the decoder
-// core: after warm-up, decoding allocates nothing — per 64-shot batch, per
-// dense Decode, per DecodeBits call — on sector graphs from d=5 to d=13 and
+// core: after warm-up, decoding allocates nothing — per 64-shot batch and
+// per dense Decode — on sector graphs from d=5 to d=13 and
 // on the planar d=13 surface-code graph. The measured runs replay the
 // warm-up's RNG stream, so arena capacities are provably at their
 // high-water mark when counting starts. The planar graph's ~147-defect
@@ -247,9 +244,7 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 					defects++
 				}
 			}
-			if u.Decode(dense) != u.DecodeBits(words, 0) {
-				t.Fatal("entry points disagree")
-			}
+			u.Decode(dense)
 		}
 
 		splitmixShared.Seed(c.seed)
@@ -267,7 +262,7 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 		}
 		splitmixShared.Seed(c.seed + 100)
 		if avg := testing.AllocsPerRun(c.runs, one); avg != 0 {
-			t.Errorf("%s: Decode/DecodeBits allocates %.2f per shot, want 0", c.name, avg)
+			t.Errorf("%s: Decode allocates %.2f per shot, want 0", c.name, avg)
 		}
 	}
 }

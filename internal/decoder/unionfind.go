@@ -67,9 +67,9 @@ func (g *Graph) Validate() error {
 //     are reused across calls, so steady-state decoding performs zero
 //     allocations.
 //
-// The decoder is reusable: Decode/DecodeBits/DecodeBatch may be called
-// repeatedly with different defect patterns. It is not safe for concurrent
-// use; mc workers each hold a Clone.
+// The decoder is reusable: Decode/DecodeBatch may be called repeatedly
+// with different defect patterns. It is not safe for concurrent use; mc
+// workers each hold a Clone.
 type UnionFind struct {
 	g *Graph
 	// adjacency: per node, incident edge indices (boundary edges included on
@@ -95,7 +95,7 @@ type UnionFind struct {
 	edgeList [][]int
 
 	// growth-phase arenas
-	defects   []int    // scratch defect list for the dense/bit entry points
+	defects   []int    // scratch defect list for the dense entry point
 	active    []int    // cluster representatives, first-defect order
 	oddRoots  []int    // odd, boundary-free roots for the current round
 	treeEdges []int    // edges grown to 2 this decode, in growth order
@@ -231,10 +231,10 @@ func (u *UnionFind) union(a, b int) int {
 
 // Decode takes the dense defect pattern (one bool per node) and returns
 // the predicted logical observable flips of the minimum-ish-weight
-// correction. It is the reference entry point: it gathers the set indices
-// and delegates to the sparse core, so dense callers (tests, the CHP
-// cross-validation oracle) and the packed entry points below exercise the
-// identical algorithm.
+// correction. It gathers the set indices and delegates to the sparse core,
+// so the hand-built graph tests and the fuzz harness, which drive the
+// decoder through this dense adapter, exercise the same algorithm as
+// DecodeBatch.
 func (u *UnionFind) Decode(defects []bool) uint64 {
 	if len(defects) != u.g.NumNodes {
 		panic("decoder: defect vector length mismatch")
@@ -243,27 +243,6 @@ func (u *UnionFind) Decode(defects []bool) uint64 {
 	for i, d := range defects {
 		if d {
 			u.defects = append(u.defects, i)
-		}
-	}
-	return u.decode(u.defects)
-}
-
-// DecodeBits decodes one shot of a packed detector batch: words[d] bit
-// `shot` is detector d's event, the layout of stabsim.BatchResult. The
-// defect list is gathered with single-bit tests — no dense []bool
-// round-trip — and handed to the sparse core. Allocation-free after
-// warm-up.
-func (u *UnionFind) DecodeBits(words []uint64, shot int) uint64 {
-	if len(words) != u.g.NumNodes {
-		panic("decoder: detector word count mismatch")
-	}
-	if shot < 0 || shot >= 64 {
-		panic("decoder: shot index out of range")
-	}
-	u.defects = u.defects[:0]
-	for d, w := range words {
-		if w>>uint(shot)&1 == 1 {
-			u.defects = append(u.defects, d)
 		}
 	}
 	return u.decode(u.defects)

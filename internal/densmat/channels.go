@@ -121,32 +121,6 @@ func (d *DensityMatrix) ApplyDepolarizing2(q1, q2 int, p float64) {
 	}
 }
 
-// ApplyBitFlip applies X with probability p to qubit q.
-func (d *DensityMatrix) ApplyBitFlip(q int, p float64) {
-	clamp01(&p)
-	if p == 0 {
-		return
-	}
-	ops := []*linalg.Matrix{
-		linalg.Scale(complex(math.Sqrt(1-p), 0), linalg.I2()),
-		linalg.Scale(complex(math.Sqrt(p), 0), linalg.PauliX()),
-	}
-	d.ApplyKraus(ops, q)
-}
-
-// ApplyPhaseFlip applies Z with probability p to qubit q.
-func (d *DensityMatrix) ApplyPhaseFlip(q int, p float64) {
-	clamp01(&p)
-	if p == 0 {
-		return
-	}
-	ops := []*linalg.Matrix{
-		linalg.Scale(complex(math.Sqrt(1-p), 0), linalg.I2()),
-		linalg.Scale(complex(math.Sqrt(p), 0), linalg.PauliZ()),
-	}
-	d.ApplyKraus(ops, q)
-}
-
 func clamp01(p *float64) {
 	if *p < 0 {
 		*p = 0

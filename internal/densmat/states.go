@@ -29,12 +29,6 @@ func BellPsiMinus() []complex128 {
 	return []complex128{0, s, -s, 0}
 }
 
-// Plus returns |+⟩ = (|0⟩+|1⟩)/√2.
-func Plus() []complex128 {
-	s := complex(1/math.Sqrt2, 0)
-	return []complex128{s, s}
-}
-
 // GHZ returns the n-qubit GHZ (CAT) state (|0…0⟩+|1…1⟩)/√2.
 func GHZ(n int) []complex128 {
 	dim := 1 << n

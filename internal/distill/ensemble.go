@@ -32,28 +32,20 @@ func (s EnsembleStats) DeliveredRatePerSecond() float64 {
 	return float64(s.Delivered) / (float64(s.Replicas) * s.HorizonMicros * 1e-6)
 }
 
-// RunEnsemble simulates `replicas` independent trajectories of the module
-// over the same horizon and pools their statistics. The event-driven
-// simulator cannot batch shots the way the frame samplers do, so here the mc
-// engine shards at one trajectory per shard: replica i runs with the
-// deterministic stream seed mc.StreamSeed(cfg.Seed, i), making the pooled
-// stats bit-identical for any worker count (workers <= 0 means
+// RunEnsembleContext simulates `replicas` independent trajectories of the
+// module over the same horizon and pools their statistics. The
+// event-driven simulator cannot batch shots the way the frame samplers do,
+// so here the mc engine shards at one trajectory per shard: replica i runs
+// with the deterministic stream seed mc.StreamSeed(cfg.Seed, i), making the
+// pooled stats bit-identical for any worker count (workers <= 0 means
 // runtime.NumCPU()).
-func RunEnsemble(cfg Config, replicas int, horizonMicros float64, workers int) EnsembleStats {
-	stats, err := RunEnsembleContext(context.Background(), cfg, replicas, horizonMicros, workers)
-	if err != nil {
-		panic(err)
-	}
-	return stats
-}
-
-// RunEnsembleContext is RunEnsemble under a context: cancellation stops
-// dispatching new replicas and pools only those that completed (Replicas
-// reflects the completed count, so DeliveredRatePerSecond stays an unbiased
-// per-replica average), returning the *mc.PartialError alongside. Replica
-// trajectories are not checkpointed — each shard returns rich Stats, not a
-// Tally — so a resumed run re-simulates them; determinism makes that exact,
-// just not free.
+//
+// Cancellation stops dispatching new replicas and pools only those that
+// completed (Replicas reflects the completed count, so
+// DeliveredRatePerSecond stays an unbiased per-replica average), returning
+// the *mc.PartialError alongside. Replica trajectories are not
+// checkpointed — each shard returns rich Stats, not a Tally — so a resumed
+// run re-simulates them; determinism makes that exact, just not free.
 func RunEnsembleContext(ctx context.Context, cfg Config, replicas int, horizonMicros float64, workers int) (EnsembleStats, error) {
 	if replicas < 1 {
 		replicas = 1

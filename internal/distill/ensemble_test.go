@@ -1,14 +1,25 @@
 package distill
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
 
+// runEnsemble is RunEnsembleContext without a deadline; any error fails tb.
+func runEnsemble(tb testing.TB, cfg Config, replicas int, horizonMicros float64, workers int) EnsembleStats {
+	tb.Helper()
+	s, err := RunEnsembleContext(context.Background(), cfg, replicas, horizonMicros, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestRunEnsembleDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := DefaultConfig(12.5, true)
 	cfg.Seed = 5
-	base := RunEnsemble(cfg, 6, 5000, 1)
+	base := runEnsemble(t, cfg, 6, 5000, 1)
 	if base.Replicas != 6 {
 		t.Fatalf("replica accounting wrong: %+v", base)
 	}
@@ -16,11 +27,11 @@ func TestRunEnsembleDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal("ensemble generated nothing")
 	}
 	for _, w := range []int{4, runtime.NumCPU()} {
-		if got := RunEnsemble(cfg, 6, 5000, w); got != base {
+		if got := runEnsemble(t, cfg, 6, 5000, w); got != base {
 			t.Fatalf("workers=%d: %+v != workers=1 %+v", w, got, base)
 		}
 	}
-	if again := RunEnsemble(cfg, 6, 5000, 4); again != base {
+	if again := runEnsemble(t, cfg, 6, 5000, 4); again != base {
 		t.Fatal("ensemble not reproducible")
 	}
 }
@@ -28,8 +39,8 @@ func TestRunEnsembleDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRunEnsemblePoolsAcrossReplicas(t *testing.T) {
 	cfg := DefaultConfig(12.5, true)
 	cfg.Seed = 7
-	one := RunEnsemble(cfg, 1, 5000, 1)
-	three := RunEnsemble(cfg, 3, 5000, 1)
+	one := runEnsemble(t, cfg, 1, 5000, 1)
+	three := runEnsemble(t, cfg, 3, 5000, 1)
 	if three.Delivered < one.Delivered {
 		t.Fatalf("pooled delivered (%d) below single replica (%d)", three.Delivered, one.Delivered)
 	}

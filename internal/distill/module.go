@@ -494,17 +494,6 @@ func (m *Module) storeBack(sp storedPair) {
 	m.stats.DroppedFull++
 }
 
-// InputOccupancy returns the number of occupied input slots.
-func (m *Module) InputOccupancy() int {
-	n := 0
-	for _, s := range m.input {
-		if s.used {
-			n++
-		}
-	}
-	return n
-}
-
 // ConfigFromCells derives the module configuration from characterized
 // standard cells — the HetArch hierarchy in action: the Register and
 // ParCheck characterizations (produced once by density-matrix simulation)

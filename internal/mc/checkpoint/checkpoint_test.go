@@ -11,11 +11,12 @@ import (
 
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/chaos"
+	"hetarch/internal/splitmix"
 )
 
 func testRunner() mc.ShardRunner {
 	return func(sh mc.Shard) mc.Tally {
-		rng := sh.RNG()
+		rng := splitmix.New(sh.Seed)
 		var t mc.Tally
 		for i := 0; i < sh.Shots; i++ {
 			t.Shots++

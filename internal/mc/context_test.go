@@ -11,13 +11,14 @@ import (
 
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/chaos"
+	"hetarch/internal/splitmix"
 )
 
 // countingRunner mimics a real sampler: results depend on the shard's RNG
 // stream, so any resequencing or re-seeding bug changes the tally.
 func countingRunner() mc.ShardRunner {
 	return func(sh mc.Shard) mc.Tally {
-		rng := sh.RNG()
+		rng := splitmix.New(sh.Seed)
 		var t mc.Tally
 		for i := 0; i < sh.Shots; i++ {
 			t.Shots++

@@ -18,10 +18,7 @@
 // returned closure is called once per shard with the shard's stream seed.
 package mc
 
-import (
-	"math/rand"
-	"runtime"
-)
+import "runtime"
 
 // DefaultShardSize is the shard granularity when Config.ShardSize is unset:
 // a multiple of the 64-shot bit-parallel batch, small enough that even
@@ -85,14 +82,6 @@ type Shard struct {
 	// and never affects results (the decomposition above it carries no
 	// Lane).
 	Lane int
-}
-
-// RNG returns a fresh deterministic generator for the shard's stream,
-// backed by the engine's SplitMix64 source (see rng.go). Hot shard runners
-// avoid even this small allocation by holding one NewRand per worker and
-// reseeding it per shard; RNG remains for one-off callers and tests.
-func (s Shard) RNG() *rand.Rand {
-	return NewRand(s.Seed)
 }
 
 // Config describes one sharded run.

@@ -3,13 +3,15 @@ package mc
 import (
 	"context"
 	"testing"
+
+	"hetarch/internal/splitmix"
 )
 
 // countingRunner consumes the shard's RNG so shard results depend on the
 // stream, mimicking a real sampler: errors = number of draws below p.
 func countingRunner() ShardRunner {
 	return func(sh Shard) Tally {
-		rng := sh.RNG()
+		rng := splitmix.New(sh.Seed)
 		var t Tally
 		for i := 0; i < sh.Shots; i++ {
 			t.Shots++

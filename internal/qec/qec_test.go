@@ -153,9 +153,6 @@ func TestRM15Distance(t *testing.T) {
 }
 
 func TestTriColor5Distance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive distance search")
-	}
 	certifyDistance(t, TriColor5(), 6)
 }
 
@@ -165,17 +162,11 @@ func TestSurface3Distance(t *testing.T) {
 }
 
 func TestSurface4Distance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive distance search")
-	}
 	c, _ := Surface(4)
 	certifyDistance(t, c, 5)
 }
 
 func TestSurface5Distance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive distance search")
-	}
 	c, _ := Surface(5)
 	certifyDistance(t, c, 6)
 }

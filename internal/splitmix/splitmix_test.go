@@ -56,7 +56,7 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-// TestSource64Contract: the RNG must satisfy rand.Source64 so mc.NewRand
+// TestSource64Contract: the RNG must satisfy rand.Source64 so rand.New
 // can wrap it, and Int63 must be non-negative.
 func TestSource64Contract(t *testing.T) {
 	var src rand.Source64 = New(9)

@@ -112,11 +112,6 @@ func NewBatchFrameSampler(c *Circuit, rng *splitmix.RNG) *BatchFrameSampler {
 	return b
 }
 
-// SetRNG swaps the sampler's randomness source. The mc engine uses this to
-// point a worker-owned sampler at each shard's deterministic stream without
-// rebuilding the frame and record buffers.
-func (b *BatchFrameSampler) SetRNG(rng *splitmix.RNG) { b.rng = rng }
-
 // BatchResult carries 64 shots: bit s of Detectors[d] is detector d's event
 // in shot s, and likewise for Observables.
 type BatchResult struct {
@@ -140,16 +135,6 @@ func (r BatchResult) ForEachDetectorBit(fn func(detector, shot int)) {
 			fn(d, s)
 		}
 	}
-}
-
-// bernoulliMask returns a word whose bits are independently 1 with
-// probability p, using geometric skipping so the cost is proportional to
-// the number of set bits. Hot paths use the cached maskParams form; this
-// entry point recomputes the per-p constants and serves ad-hoc callers and
-// tests.
-func bernoulliMask(rng *splitmix.RNG, p float64) uint64 {
-	m := newMaskParams(p)
-	return m.mask(rng)
 }
 
 // SampleBatch executes 64 shots and returns their detector and observable

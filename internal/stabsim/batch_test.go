@@ -11,10 +11,11 @@ import (
 
 func TestBernoulliMaskExtremes(t *testing.T) {
 	rng := splitmix.New(1)
-	if bernoulliMask(rng, 0) != 0 {
+	zero, one := newMaskParams(0), newMaskParams(1)
+	if zero.mask(rng) != 0 {
 		t.Fatal("p=0 should give empty mask")
 	}
-	if bernoulliMask(rng, 1) != ^uint64(0) {
+	if one.mask(rng) != ^uint64(0) {
 		t.Fatal("p=1 should give full mask")
 	}
 }
@@ -22,10 +23,11 @@ func TestBernoulliMaskExtremes(t *testing.T) {
 func TestBernoulliMaskStatistics(t *testing.T) {
 	rng := splitmix.New(2)
 	for _, p := range []float64{0.01, 0.1, 0.5, 0.9} {
+		m := newMaskParams(p)
 		total := 0
 		samples := 4000
 		for i := 0; i < samples; i++ {
-			total += bits.OnesCount64(bernoulliMask(rng, p))
+			total += bits.OnesCount64(m.mask(rng))
 		}
 		got := float64(total) / float64(samples*64)
 		if math.Abs(got-p) > 0.01+p*0.05 {

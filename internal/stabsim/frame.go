@@ -41,10 +41,6 @@ func NewFrameSampler(c *Circuit, rng *rand.Rand) *FrameSampler {
 	}
 }
 
-// SetRNG swaps the sampler's randomness source, so a worker-owned sampler
-// can be pointed at each mc shard's deterministic stream.
-func (f *FrameSampler) SetRNG(rng *rand.Rand) { f.rng = rng }
-
 // ShotResult carries one shot's detector events and observable flips.
 type ShotResult struct {
 	Detectors        []bool

@@ -20,7 +20,7 @@ func TestChaosSurfaceCancelResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shots, seed, workers = 4096, 7, 4
-	want := e.RunSharded(shots, seed, workers)
+	want := run(t, e, shots, seed, workers)
 
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	meta := checkpoint.NewMeta("test", "surface", "quick", seed, 0)
@@ -68,7 +68,7 @@ func TestChaosSurfacePanicRetryBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shots, seed = 4096, 5
-	want := e.RunSharded(shots, seed, 2)
+	want := run(t, e, shots, seed, 2)
 
 	in := chaos.New(9)
 	for _, s := range in.PickShards(2, shots/mc.DefaultShardSize) {

@@ -3,12 +3,10 @@ package surface
 import (
 	"context"
 	"math"
-	"math/rand"
 
 	"hetarch/internal/decoder"
 	"hetarch/internal/mc"
 	"hetarch/internal/obs"
-	"hetarch/internal/obs/stats"
 	"hetarch/internal/obs/trace"
 	"hetarch/internal/splitmix"
 	"hetarch/internal/stabsim"
@@ -117,50 +115,25 @@ func PerCycle(eps float64, rounds int) float64 {
 	return (1 - math.Pow(1-2*eps, 1/float64(rounds))) / 2
 }
 
-// ShotErrorCI returns the Wilson confidence interval on the per-shot
-// logical error rate at the given confidence level.
-func (r Result) ShotErrorCI(confidence float64) stats.Interval {
-	return stats.BinomialCI(int64(r.LogicalErrors), int64(r.Shots), confidence)
-}
-
-// PerCycleCI maps the per-shot interval through the monotone per-cycle
-// transform, giving a confidence interval on PerCycleErrorRate.
-func (r Result) PerCycleCI(confidence float64) stats.Interval {
-	return r.ShotErrorCI(confidence).Map(func(eps float64) float64 {
-		return PerCycle(eps, r.Rounds)
-	})
-}
-
-// Run samples the experiment with the bit-parallel batch frame sampler
-// (64 shots per pass), decodes every shot with the union–find decoder, and
-// counts logical errors (decoder prediction disagreeing with the true
-// observable flip). It is RunSharded at one worker: the same shard streams
-// run inline, so counts match a parallel run bit for bit.
-func (e *Experiment) Run(shots int, seed int64) Result {
-	return e.RunSharded(shots, seed, 1)
-}
-
-// RunSharded distributes the shot budget across worker goroutines via the mc
-// engine. Each worker owns a sampler and a cloned union–find decoder; each
-// shard re-seeds the worker's sampler with its deterministic stream, so the
-// pooled (shots, errors) are bit-identical for any worker count (workers <= 0
-// means runtime.NumCPU(), 1 runs serially on the calling goroutine). The obs
-// counters advance once per shard, keeping the progress heartbeat live
-// without per-shot atomics.
-func (e *Experiment) RunSharded(shots int, seed int64, workers int) Result {
-	res, err := e.RunContext(context.Background(), shots, seed, workers)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunContext is RunSharded under a context: cancellation or deadline expiry
-// stops dispatching new shards and returns the pooled tally of the shards
-// that completed, alongside a *mc.PartialError identifying them. With a
-// checkpoint scope on ctx (mc.WithCheckpoint) completed shards are
-// persisted and skipped on resume, so an interrupted run can be finished
-// later with bit-identical counts.
+// RunContext samples the experiment with the bit-parallel batch frame
+// sampler (64 shots per pass), decodes every shot with the union–find
+// decoder, and counts logical errors (decoder prediction disagreeing with
+// the true observable flip).
+//
+// The mc engine distributes the shot budget across worker goroutines
+// (workers <= 0 means runtime.NumCPU(), 1 runs serially on the calling
+// goroutine). Each worker owns a sampler and a cloned union–find decoder;
+// each shard re-seeds the worker's sampler with its deterministic stream,
+// so the pooled (shots, errors) are bit-identical for any worker count.
+// The obs counters advance once per shard, keeping the progress heartbeat
+// live without per-shot atomics.
+//
+// Cancellation or deadline expiry stops dispatching new shards and returns
+// the pooled tally of the shards that completed, alongside a
+// *mc.PartialError identifying them. With a checkpoint scope on ctx
+// (mc.WithCheckpoint) completed shards are persisted and skipped on
+// resume, so an interrupted run can be finished later with bit-identical
+// counts.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}
 	tally, err := mc.RunContext(ctx, cfg, func() mc.ShardRunner {
@@ -220,24 +193,4 @@ func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, work
 		}
 	})
 	return Result{Shots: int(tally.Shots), LogicalErrors: int(tally.Errors), Rounds: e.Params.Rounds}, err
-}
-
-// Sampler pairs a frame sampler with the experiment's decoder so shots can
-// be drawn incrementally (used by benchmarks).
-type Sampler struct {
-	e  *Experiment
-	fs *stabsim.FrameSampler
-}
-
-// NewSampler builds a sampler bound to the experiment and RNG.
-func NewSampler(e *Experiment, rng *rand.Rand) *Sampler {
-	return &Sampler{e: e, fs: stabsim.NewFrameSampler(e.Circuit, rng)}
-}
-
-// SampleAndDecode draws one shot and reports whether the decoder failed.
-func (s *Sampler) SampleAndDecode() bool {
-	shot := s.fs.Sample()
-	pred := s.e.uf.Decode(shot.Detectors)
-	actual := shot.Observables[0]
-	return (pred&1 == 1) != actual
 }

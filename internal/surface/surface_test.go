@@ -1,6 +1,7 @@
 package surface
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -8,6 +9,16 @@ import (
 	"hetarch/internal/obs"
 	"hetarch/internal/stabsim"
 )
+
+// run is RunContext without a deadline; any error fails tb.
+func run(tb testing.TB, e *Experiment, shots int, seed int64, workers int) Result {
+	tb.Helper()
+	r, err := e.RunContext(context.Background(), shots, seed, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
 
 func TestDetectorContractHolds(t *testing.T) {
 	for _, basis := range []byte{'Z', 'X'} {
@@ -36,7 +47,7 @@ func TestNoiselessRunHasNoErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run(200, 7)
+	res := run(t, e, 200, 7, 1)
 	if res.LogicalErrors != 0 {
 		t.Fatalf("noiseless run produced %d logical errors", res.LogicalErrors)
 	}
@@ -89,8 +100,8 @@ func TestLogicalErrorRateScalesWithNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	shots := 3000
-	rq := eq.Run(shots, 5)
-	rn := en.Run(shots, 5)
+	rq := run(t, eq, shots, 5, 1)
+	rn := run(t, en, shots, 5, 1)
 	if rq.LogicalErrors >= rn.LogicalErrors {
 		t.Fatalf("noise scaling broken: %d (p=0.1%%) vs %d (p=5%%)", rq.LogicalErrors, rn.LogicalErrors)
 	}
@@ -110,7 +121,7 @@ func TestBelowThresholdDistanceHelps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run(4000, 11)
+		return run(t, e, 4000, 11, 1)
 	}
 	r3 := mk(3)
 	r5 := mk(5)
@@ -134,15 +145,15 @@ func TestDataCoherenceMattersMoreThanAncilla(t *testing.T) {
 	ancBoost := base
 	ancBoost.TcaMicros = 500
 
-	run := func(p Params) float64 {
+	rateAt := func(p Params) float64 {
 		e, err := New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run(shots, 3).ShotErrorRate()
+		return run(t, e, shots, 3, 1).ShotErrorRate()
 	}
-	d := run(dataBoost)
-	a := run(ancBoost)
+	d := rateAt(dataBoost)
+	a := rateAt(ancBoost)
 	if d >= a {
 		t.Fatalf("data-coherence boost (%v) should beat ancilla boost (%v)", d, a)
 	}
@@ -178,7 +189,7 @@ func TestXBasisExperimentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run(500, 9)
+	res := run(t, e, 500, 9, 1)
 	if res.Shots != 500 {
 		t.Fatal("run accounting wrong")
 	}
@@ -190,22 +201,18 @@ func TestRunShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := e.RunSharded(4000, 5, 1)
+	serial := run(t, e, 4000, 5, 1)
 	if serial.Shots != 4000 {
 		t.Fatalf("shot accounting wrong: %+v", serial)
 	}
 	for _, w := range []int{4, runtime.NumCPU(), 0} {
-		got := e.RunSharded(4000, 5, w)
+		got := run(t, e, 4000, 5, w)
 		if got != serial {
 			t.Fatalf("workers=%d: %+v != workers=1 %+v", w, got, serial)
 		}
 	}
-	// Run is the engine at one worker, so it matches too.
-	if got := e.Run(4000, 5); got != serial {
-		t.Fatalf("Run %+v != RunSharded(…, 1) %+v", got, serial)
-	}
 	// Two runs at the same worker count are bit-identical.
-	if again := e.RunSharded(4000, 5, 4); again != serial {
+	if again := run(t, e, 4000, 5, 4); again != serial {
 		t.Fatal("sharded run not reproducible")
 	}
 }
@@ -216,8 +223,8 @@ func TestRunShardedSmallJobIdenticalAtAnyWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := e.Run(50, 9) // one partial shard
-	b := e.RunSharded(50, 9, 8)
+	a := run(t, e, 50, 9, 1) // one partial shard
+	b := run(t, e, 50, 9, 8)
 	if a.LogicalErrors != b.LogicalErrors || a.Shots != b.Shots {
 		t.Fatal("small jobs must be identical at any worker count")
 	}
@@ -230,7 +237,7 @@ func BenchmarkRunSharded(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunSharded(4096, int64(i), 4)
+		run(b, e, 4096, int64(i), 4)
 	}
 }
 
@@ -241,7 +248,7 @@ func BenchmarkRunSerial(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Run(1024, int64(i))
+		run(b, e, 1024, int64(i), 1)
 	}
 }
 
@@ -252,7 +259,7 @@ func TestRunCountsShots(t *testing.T) {
 	}
 	shots0 := obs.C("surface.shots").Value()
 	decodes0 := obs.C("decoder.unionfind.decodes").Value()
-	e.Run(130, 1)
+	run(t, e, 130, 1, 1)
 	if d := obs.C("surface.shots").Value() - shots0; d != 130 {
 		t.Fatalf("shot counter delta %d, want 130", d)
 	}
@@ -261,7 +268,7 @@ func TestRunCountsShots(t *testing.T) {
 	}
 	// Sharded runs must account every worker's shots exactly once.
 	shots1 := obs.C("surface.shots").Value()
-	e.RunSharded(1000, 1, 4)
+	run(t, e, 1000, 1, 4)
 	if d := obs.C("surface.shots").Value() - shots1; d != 1000 {
 		t.Fatalf("sharded shot counter delta %d, want 1000", d)
 	}

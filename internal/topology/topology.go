@@ -2,8 +2,9 @@
 // cost of executing circuits on them. It provides the homogeneous
 // "sea-of-qubits" square-lattice baseline the paper's evaluation (Sections
 // 4.2 and 6) compares heterogeneous modules against: a lattice as large as
-// needed, with a greedy placement and shortest-path SWAP router standing in
-// for an optimizing transpiler.
+// needed, with a greedy placement and all-pairs shortest-path distances
+// (a pair at distance d pays d − 1 SWAPs) standing in for an optimizing
+// transpiler.
 package topology
 
 import "fmt"
@@ -35,10 +36,6 @@ func (g *Graph) AddEdge(a, b int) {
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 }
-
-// Neighbors returns the adjacency list of node v (shared slice; do not
-// mutate).
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
@@ -94,97 +91,6 @@ func (g *Graph) AllPairsDistances() [][]int {
 
 // Interaction is one two-qubit operation between logical qubits.
 type Interaction struct{ A, B int }
-
-// RouteCost is the routing estimate of executing a sequence of two-qubit
-// interactions on a graph.
-type RouteCost struct {
-	Swaps     int // total SWAP insertions
-	Depth     int // sequential two-qubit layers including routing
-	TwoQubits int // total 2q gates executed, SWAPs count as 3 each
-}
-
-// RouteSequential estimates routing cost for a serial interaction sequence
-// under a dynamic placement: before each interaction the two logical qubits
-// are moved adjacent along a shortest path (each hop is one SWAP), updating
-// the placement as qubits move — the standard greedy SWAP router.
-//
-// placement maps logical qubit → site; it is mutated during routing (pass a
-// copy to preserve the input).
-func (g *Graph) RouteSequential(interactions []Interaction, placement []int) RouteCost {
-	site2logical := make([]int, g.N)
-	for i := range site2logical {
-		site2logical[i] = -1
-	}
-	for l, s := range placement {
-		if site2logical[s] != -1 {
-			panic("topology: two logical qubits share a site")
-		}
-		site2logical[s] = l
-	}
-	cost := RouteCost{}
-	for _, in := range interactions {
-		sa, sb := placement[in.A], placement[in.B]
-		path := g.shortestPath(sa, sb)
-		if path == nil {
-			panic("topology: disconnected interaction")
-		}
-		// Move A along the path until adjacent to B's current site.
-		for len(path) > 2 {
-			// swap occupant of path[0] and path[1]
-			s0, s1 := path[0], path[1]
-			l0, l1 := site2logical[s0], site2logical[s1]
-			site2logical[s0], site2logical[s1] = l1, l0
-			if l0 >= 0 {
-				placement[l0] = s1
-			}
-			if l1 >= 0 {
-				placement[l1] = s0
-			}
-			cost.Swaps++
-			cost.TwoQubits += 3
-			cost.Depth++
-			path = path[1:]
-		}
-		cost.TwoQubits++
-		cost.Depth++
-	}
-	return cost
-}
-
-// shortestPath returns a BFS path from a to b inclusive.
-func (g *Graph) shortestPath(a, b int) []int {
-	if a == b {
-		return []int{a}
-	}
-	prev := make([]int, g.N)
-	for i := range prev {
-		prev[i] = -2
-	}
-	prev[a] = -1
-	queue := []int{a}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if prev[w] == -2 {
-				prev[w] = v
-				if w == b {
-					var path []int
-					for x := b; x != -1; x = prev[x] {
-						path = append(path, x)
-					}
-					// reverse
-					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-						path[i], path[j] = path[j], path[i]
-					}
-					return path
-				}
-				queue = append(queue, w)
-			}
-		}
-	}
-	return nil
-}
 
 // GreedyPlace maps logical qubits 0..k-1 onto lattice sites, placing the
 // most interaction-heavy qubits first at central sites and their partners

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSquareLatticeStructure(t *testing.T) {
 	g := SquareLattice(3, 3)
@@ -36,41 +33,6 @@ func TestAllPairsSymmetric(t *testing.T) {
 	}
 }
 
-func TestRouteAdjacentNoSwaps(t *testing.T) {
-	g := SquareLattice(3, 3)
-	placement := []int{0, 1}
-	cost := g.RouteSequential([]Interaction{{0, 1}}, placement)
-	if cost.Swaps != 0 || cost.TwoQubits != 1 || cost.Depth != 1 {
-		t.Fatalf("adjacent routing cost wrong: %+v", cost)
-	}
-}
-
-func TestRouteDistantNeedsSwaps(t *testing.T) {
-	g := SquareLattice(4, 1) // line of 4
-	placement := []int{0, 3}
-	cost := g.RouteSequential([]Interaction{{0, 1}}, placement)
-	if cost.Swaps != 2 {
-		t.Fatalf("expected 2 swaps, got %d", cost.Swaps)
-	}
-	if cost.TwoQubits != 2*3+1 {
-		t.Fatalf("2q count %d", cost.TwoQubits)
-	}
-	// Placement must have been updated: qubit 0 now adjacent to qubit 1.
-	if d := g.Distances(placement[0])[placement[1]]; d != 1 {
-		t.Fatalf("post-route distance %d", d)
-	}
-}
-
-func TestRouteRepeatedInteractionIsCheapAfterMove(t *testing.T) {
-	g := SquareLattice(5, 1)
-	placement := []int{0, 4}
-	cost := g.RouteSequential([]Interaction{{0, 1}, {0, 1}}, placement)
-	// First interaction pays 3 swaps; second is free.
-	if cost.Swaps != 3 {
-		t.Fatalf("swaps = %d, want 3", cost.Swaps)
-	}
-}
-
 func TestGreedyPlaceProducesValidPlacement(t *testing.T) {
 	g := SquareLattice(4, 4)
 	inter := []Interaction{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}
@@ -82,45 +44,20 @@ func TestGreedyPlaceProducesValidPlacement(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	// Heavily-interacting qubits should land close: total routed cost must
-	// be no worse than a pathological corner placement.
-	cost := g.RouteSequential(inter, append([]int(nil), p...))
+	// Heavily-interacting qubits should land close: the static SWAP count
+	// (distance − 1 per interaction, as the uec lattice baseline charges)
+	// must be no worse than a pathological corner placement.
+	dm := g.AllPairsDistances()
+	swaps := func(placement []int) int {
+		n := 0
+		for _, in := range inter {
+			n += dm[placement[in.A]][placement[in.B]] - 1
+		}
+		return n
+	}
 	bad := []int{0, 3, 12, 15} // four corners
-	badCost := g.RouteSequential(inter, append([]int(nil), bad...))
-	if cost.Swaps > badCost.Swaps {
-		t.Fatalf("greedy placement (%d swaps) worse than corners (%d)", cost.Swaps, badCost.Swaps)
-	}
-}
-
-func TestPropertyRoutingTerminatesAndCounts(t *testing.T) {
-	f := func(seed int64) bool {
-		w, h := 4, 4
-		g := SquareLattice(w, h)
-		k := 5
-		inter := []Interaction{}
-		s := seed
-		next := func(n int) int {
-			s = s*6364136223846793005 + 1442695040888963407
-			v := int((s >> 33) % int64(n))
-			if v < 0 {
-				v += n
-			}
-			return v
-		}
-		for i := 0; i < 8; i++ {
-			a := next(k)
-			b := next(k)
-			if a == b {
-				b = (b + 1) % k
-			}
-			inter = append(inter, Interaction{a, b})
-		}
-		p := g.GreedyPlace(k, inter)
-		cost := g.RouteSequential(inter, p)
-		return cost.TwoQubits >= len(inter) && cost.Depth >= len(inter)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	if got, worst := swaps(p), swaps(bad); got > worst {
+		t.Fatalf("greedy placement (%d swaps) worse than corners (%d)", got, worst)
 	}
 }
 

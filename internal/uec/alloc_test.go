@@ -29,7 +29,7 @@ func TestRunShardedSteadyStateZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		perCall := testing.AllocsPerRun(1, func() { e.RunSharded(shots, 1, 1) })
+		perCall := testing.AllocsPerRun(1, func() { run(t, e, shots, 1, 1) })
 		if perShot := perCall / shots; perShot >= 0.0005 {
 			t.Errorf("%s: %.4f allocations per shot (%.0f per %d-shot call), want < 0.0005",
 				tc.name, perShot, perCall, shots)

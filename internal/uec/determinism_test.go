@@ -1,6 +1,7 @@
 package uec
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -15,39 +16,17 @@ func TestRunShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := e.RunSharded(3000, 11, 1)
+	base := run(t, e, 3000, 11, 1)
 	if base.Shots != 3000 {
 		t.Fatalf("shot accounting wrong: %+v", base)
 	}
 	for _, w := range []int{4, runtime.NumCPU(), 0} {
-		if got := e.RunSharded(3000, 11, w); got != base {
+		if got := run(t, e, 3000, 11, w); got != base {
 			t.Fatalf("workers=%d: %+v != workers=1 %+v", w, got, base)
 		}
 	}
-	if got := e.Run(3000, 11); got != base {
-		t.Fatalf("Run %+v != RunSharded(…, 1) %+v", got, base)
-	}
-	if again := e.RunSharded(3000, 11, 4); again != base {
+	if again := run(t, e, 3000, 11, 4); again != base {
 		t.Fatal("sharded run not reproducible")
-	}
-}
-
-func TestMemoryRunShardedDeterministicAcrossWorkerCounts(t *testing.T) {
-	m, err := NewMemory(DefaultParams(qec.Steane(), 25, true), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := m.RunSharded(600, 13, 1)
-	if base.Shots != 600 {
-		t.Fatalf("shot accounting wrong: %+v", base)
-	}
-	for _, w := range []int{4, runtime.NumCPU()} {
-		if got := m.RunSharded(600, 13, w); got != base {
-			t.Fatalf("workers=%d: %+v != workers=1 %+v", w, got, base)
-		}
-	}
-	if again := m.RunSharded(600, 13, 4); again != base {
-		t.Fatal("sharded memory run not reproducible")
 	}
 }
 
@@ -56,8 +35,11 @@ func TestPseudothresholdWorkerIndependent(t *testing.T) {
 		t.Skip("Monte Carlo grid fit")
 	}
 	base := DefaultParams(qec.Steane(), 50, true)
-	pt1, ok1 := Pseudothreshold(base, 1500, 21, 1)
-	pt4, ok4 := Pseudothreshold(base, 1500, 21, 4)
+	pt1, ok1, err1 := PseudothresholdContext(context.Background(), base, 1500, 21, 1)
+	pt4, ok4, err4 := PseudothresholdContext(context.Background(), base, 1500, 21, 4)
+	if err1 != nil || err4 != nil {
+		t.Fatal(err1, err4)
+	}
 	if ok1 != ok4 || pt1 != pt4 {
 		t.Fatalf("pseudothreshold depends on workers: (%v,%v) vs (%v,%v)", pt1, ok1, pt4, ok4)
 	}

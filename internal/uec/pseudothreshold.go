@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Pseudothreshold finds the physical two-qubit error rate at which the
-// module's combined logical error rate equals the physical rate — the
+// PseudothresholdContext finds the physical two-qubit error rate at which
+// the module's combined logical error rate equals the physical rate — the
 // break-even point below which encoding helps (Table 3's PT column).
 //
 // Monte Carlo estimates at very low physical rates are dominated by shot
@@ -22,16 +22,7 @@ import (
 // the surface codes on the serial module, which the paper marks "—".
 //
 // workers is the mc engine's goroutine count per grid point (<= 0 means
-// runtime.NumCPU()); it never affects the fitted value.
-func Pseudothreshold(base Params, shots int, seed int64, workers int) (pt float64, ok bool) {
-	pt, ok, err := PseudothresholdContext(context.Background(), base, shots, seed, workers)
-	if err != nil {
-		panic(err)
-	}
-	return pt, ok
-}
-
-// PseudothresholdContext is Pseudothreshold under a context: cancellation
+// runtime.NumCPU()); it never affects the fitted value. Cancellation
 // between or during grid points abandons the fit and returns the context's
 // error (wrapped in a *mc.PartialError by the engine). The fit itself only
 // runs on a fully sampled grid, so a partial sweep never produces a skewed
@@ -49,7 +40,7 @@ func PseudothresholdContext(ctx context.Context, base Params, shots int, seed in
 			p.TcMicros = 1e15
 			e, err := New(p)
 			if err != nil {
-				panic(err)
+				return 0, err
 			}
 			r, err := e.RunContext(ctx, shots, seed, workers)
 			if err != nil {

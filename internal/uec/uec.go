@@ -18,7 +18,6 @@ import (
 	"hetarch/internal/decoder"
 	"hetarch/internal/mc"
 	"hetarch/internal/obs"
-	"hetarch/internal/obs/stats"
 	"hetarch/internal/qec"
 	"hetarch/internal/splitmix"
 	"hetarch/internal/stabsim"
@@ -106,7 +105,7 @@ func DefaultParams(code *qec.Code, tsMillis float64, heterogeneous bool) Params 
 }
 
 // Experiment is a compiled UEC memory experiment: the stabsim circuit plus
-// the exact lookup decoder for the measured sector.
+// the minimum-weight lookup decoder for the measured sector.
 type Experiment struct {
 	P       Params
 	Circuit *stabsim.Circuit
@@ -206,7 +205,7 @@ func maskOf(support []int) uint64 {
 // compute-window decoherence, storage idling for the full serialized cycle)
 // is applied before the cycle's checks run, and ancilla-side errors surface
 // as measurement flips. This is the standard convention that keeps the
-// syndrome of a cycle well defined for the exact lookup decoder; flag
+// syndrome of a cycle well defined for the lookup decoder; flag
 // circuits (Params.Flagged) justify the absence of multi-qubit hook errors.
 func (e *Experiment) buildSerializedCircuit() {
 	p := e.P
@@ -325,17 +324,6 @@ func (e *Experiment) buildSerializedCircuit() {
 	}
 	c.Observable(0, obsRecs...)
 	e.Circuit = c
-}
-
-// idleAllData applies storage idle noise to every data qubit for the given
-// duration (heterogeneous: storage lifetime).
-func (e *Experiment) idleAllData(c *stabsim.Circuit, dataAll []int, dur float64) {
-	t := e.P.TsMicros
-	if !e.P.Heterogeneous {
-		t = e.P.TcMicros
-	}
-	px, py, pz := stabsim.IdlePauliChannel(dur, t, t)
-	c.PauliChannel1(px, py, pz, dataAll...)
 }
 
 // buildLatticeCircuit emits the homogeneous baseline: all checks execute in
@@ -508,39 +496,22 @@ func (r Result) LogicalErrorRate() float64 {
 	return float64(r.LogicalErrors) / float64(r.Shots)
 }
 
-// CI returns the Wilson confidence interval on LogicalErrorRate at the
-// given confidence level.
-func (r Result) CI(confidence float64) stats.Interval {
-	return stats.BinomialCI(int64(r.LogicalErrors), int64(r.Shots), confidence)
-}
-
-// Run samples the experiment with the bit-parallel batch sampler and
-// decodes each shot with the two-stage exact lookup decoder: stage 1
+// RunContext samples the experiment with the bit-parallel batch sampler
+// and decodes each shot with the two-stage lookup decoder: stage 1
 // corrects from the noisy round's syndrome, stage 2 from the verification
 // round's residual syndrome; a shot is a logical error when the combined
-// correction disagrees with the true observable flip. It is RunSharded at
-// one worker, so counts match a parallel run bit for bit.
-func (e *Experiment) Run(shots int, seed int64) Result {
-	return e.RunSharded(shots, seed, 1)
-}
-
-// RunSharded distributes the shot budget across worker goroutines via the mc
-// engine. Workers own their batch samplers; the lookup decoder is immutable
-// after construction and shared read-only. Pooled (shots, errors) are
-// bit-identical for any worker count (<= 0 means runtime.NumCPU()).
-func (e *Experiment) RunSharded(shots int, seed int64, workers int) Result {
-	res, err := e.RunContext(context.Background(), shots, seed, workers)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunContext is RunSharded under a context: cancellation stops dispatching
-// new shards and returns the exact pooled tally of the completed shards
-// alongside a *mc.PartialError. With a checkpoint scope on ctx
-// (mc.WithCheckpoint), completed shards persist across interrupts and are
-// not re-executed on resume.
+// correction disagrees with the true observable flip.
+//
+// The mc engine distributes the shot budget across worker goroutines
+// (workers <= 0 means runtime.NumCPU(), 1 runs serially on the calling
+// goroutine). Workers own their batch samplers; the lookup decoder is
+// immutable after construction and shared read-only. Pooled (shots,
+// errors) are bit-identical for any worker count.
+//
+// Cancellation stops dispatching new shards and returns the exact pooled
+// tally of the completed shards alongside a *mc.PartialError. With a
+// checkpoint scope on ctx (mc.WithCheckpoint), completed shards persist
+// across interrupts and are not re-executed on resume.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
 	k := e.numChecks
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}

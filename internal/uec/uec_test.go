@@ -1,12 +1,23 @@
 package uec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hetarch/internal/qec"
 	"hetarch/internal/stabsim"
 )
+
+// run is RunContext without a deadline; any error fails tb.
+func run(tb testing.TB, e *Experiment, shots int, seed int64, workers int) Result {
+	tb.Helper()
+	r, err := e.RunContext(context.Background(), shots, seed, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
 
 func codes(t *testing.T) map[string]*qec.Code {
 	t.Helper()
@@ -51,7 +62,7 @@ func TestNoiselessIsPerfect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.Run(200, 3)
+		res := run(t, e, 200, 3, 1)
 		if res.LogicalErrors != 0 {
 			t.Errorf("%s: %d errors without noise", name, res.LogicalErrors)
 		}
@@ -81,16 +92,16 @@ func TestSerializedCycleDurationScalesWithCode(t *testing.T) {
 
 func TestStorageLifetimeImprovesHeterogeneous(t *testing.T) {
 	code := qec.Steane()
-	run := func(tsMillis float64) float64 {
+	rateAt := func(tsMillis float64) float64 {
 		p := DefaultParams(code, tsMillis, true)
 		e, err := New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run(8000, 7).LogicalErrorRate()
+		return run(t, e, 8000, 7, 1).LogicalErrorRate()
 	}
-	short := run(1)
-	long := run(50)
+	short := rateAt(1)
+	long := rateAt(50)
 	if long >= short {
 		t.Fatalf("Ts=50ms (%v) should beat Ts=1ms (%v)", long, short)
 	}
@@ -113,8 +124,8 @@ func TestNonPlanarCodesFavorHeterogeneous(t *testing.T) {
 			t.Fatal(err)
 		}
 		shots := 6000
-		hetRate := het.Run(shots, 5).LogicalErrorRate()
-		homRate := hom.Run(shots, 5).LogicalErrorRate()
+		hetRate := run(t, het, shots, 5, 1).LogicalErrorRate()
+		homRate := run(t, hom, shots, 5, 1).LogicalErrorRate()
 		if hetRate >= homRate {
 			t.Errorf("%s: het %.4f should beat hom %.4f", name, hetRate, homRate)
 		}
@@ -139,8 +150,8 @@ func TestSurfaceCodeFavorsHomogeneous(t *testing.T) {
 		t.Fatal(err)
 	}
 	shots := 8000
-	hetRate := het.Run(shots, 9).LogicalErrorRate()
-	homRate := hom.Run(shots, 9).LogicalErrorRate()
+	hetRate := run(t, het, shots, 9, 1).LogicalErrorRate()
+	homRate := run(t, hom, shots, 9, 1).LogicalErrorRate()
 	if homRate >= hetRate {
 		t.Errorf("SC3: hom %.4f should beat het %.4f", homRate, hetRate)
 	}
@@ -166,7 +177,7 @@ func TestRejectsBadBasis(t *testing.T) {
 
 func TestErrorRateIncreasesWithGateError(t *testing.T) {
 	code := qec.Steane()
-	run := func(p2 float64) float64 {
+	rateAt := func(p2 float64) float64 {
 		p := DefaultParams(code, 50, true)
 		p.P2 = p2
 		p.SwapError = p2
@@ -174,10 +185,10 @@ func TestErrorRateIncreasesWithGateError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run(6000, 13).LogicalErrorRate()
+		return run(t, e, 6000, 13, 1).LogicalErrorRate()
 	}
-	low := run(0.002)
-	high := run(0.05)
+	low := rateAt(0.002)
+	high := rateAt(0.05)
 	if low >= high {
 		t.Fatalf("gate-error scaling broken: %.4f (0.2%%) vs %.4f (5%%)", low, high)
 	}
@@ -192,7 +203,7 @@ func TestBothBasesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.Run(1000, 17)
+		res := run(t, e, 1000, 17, 1)
 		if res.Shots != 1000 {
 			t.Fatal("accounting wrong")
 		}
@@ -208,7 +219,10 @@ func TestPseudothresholdSteane(t *testing.T) {
 		t.Skip("Monte Carlo bisection")
 	}
 	base := DefaultParams(qec.Steane(), 50, true)
-	pt, ok := Pseudothreshold(base, 3000, 21, 0)
+	pt, ok, err := PseudothresholdContext(context.Background(), base, 3000, 21, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok {
 		t.Fatal("Steane on the UEC should have a pseudothreshold")
 	}
@@ -223,7 +237,7 @@ func TestPseudothresholdSteane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := e.Run(4000, 23).LogicalErrorRate()
+	rate := run(t, e, 4000, 23, 1).LogicalErrorRate()
 	if rate >= pt/3*2 {
 		t.Fatalf("below PT the logical rate (%v) should be comfortably below physical (%v)", rate, pt/3)
 	}
@@ -299,17 +313,17 @@ func TestOptimizedScheduleImprovesLowTsRates(t *testing.T) {
 	// The shorter cycle reduces storage idling, which matters most at
 	// short storage lifetimes.
 	code := qec.ReedMuller15()
-	run := func(opt bool) float64 {
+	rateAt := func(opt bool) float64 {
 		p := DefaultParams(code, 0.5, true) // deliberately short Ts
 		p.OptimizedSchedule = opt
 		e, err := New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run(12000, 31).LogicalErrorRate()
+		return run(t, e, 12000, 31, 1).LogicalErrorRate()
 	}
-	naive := run(false)
-	opt := run(true)
+	naive := rateAt(false)
+	opt := rateAt(true)
 	if opt >= naive {
 		t.Fatalf("optimized schedule (%.4f) should beat naive (%.4f) at short Ts", opt, naive)
 	}
