@@ -15,8 +15,10 @@ import (
 )
 
 // lookupDecodes counts Lookup.Decode invocations across all tables — one
-// atomic add per call, negligible against the syndrome computation it
-// follows.
+// atomic add per call. The uec shard runner reads LogicalParity bitsets
+// and never calls Decode, so a uec run leaves it at 0; the calls it counts
+// come from the facade's lookup decoder, tests and the benchmark's traced
+// uec replica.
 var lookupDecodes = obs.C("decoder.lookup.decodes")
 
 // Lookup is a minimum-weight decoder for one error sector of a CSS code:
@@ -77,8 +79,23 @@ func (l *Lookup) Decode(syndrome uint64) uint64 {
 	return c
 }
 
-// TableSize returns the number of distinct syndromes covered.
+// TableSize returns the number of distinct syndromes covered. It is
+// 1<<len(checkMasks) exactly when the checks are independent; then
+// Syndrome(Decode(s)) == s for every syndrome s.
 func (l *Lookup) TableSize() int { return len(l.table) }
+
+// LogicalParity returns a bitset over all 1<<len(checkMasks) syndromes
+// whose bit s (word s/64, bit s%64) is the parity of Decode(s) on the
+// logical support. A syndrome without a table entry reads 0, as Decode's
+// identity fallback does. It reads the table directly, so building it
+// counts no decodes.
+func (l *Lookup) LogicalParity(logical uint64) []uint64 {
+	p := make([]uint64, (1<<len(l.checkMasks)+63)/64)
+	for s, c := range l.table {
+		p[s/64] |= uint64(bits.OnesCount64(c&logical)&1) << (s % 64)
+	}
+	return p
+}
 
 // enumerateCombinations calls fn with every n-bit mask of the given weight.
 func enumerateCombinations(n, w int, fn func(uint64)) {

@@ -9,6 +9,8 @@ import (
 
 	"hetarch/internal/obs"
 	"hetarch/internal/obs/stats"
+	"hetarch/internal/qec"
+	"hetarch/internal/surface"
 )
 
 func TestTable1Prints(t *testing.T) {
@@ -378,5 +380,39 @@ func TestProtocolCheckAllPairs(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "OK") {
 		t.Fatal("no pairs verified")
+	}
+}
+
+// TestConstructionErrorsReturned checks that a module the engines refuse
+// to build comes back as an error from the experiment helpers, not as a
+// panic: a 36-qubit surface code on the at-most-30-qubit UEC module, and a
+// distance-1 surface-code memory.
+func TestConstructionErrorsReturned(t *testing.T) {
+	sc6, _ := qec.Surface(6)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"combinedUEC/Surface-d6", func() error {
+			_, _, err := combinedUEC(context.Background(), sc6, 50, true, false, 64, 1, 1)
+			return err
+		}},
+		{"perCycleBothBases/d=1", func() error {
+			_, _, err := perCycleBothBases(context.Background(), surface.DefaultParams(1), 64, 1, 1)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked instead of returning an error: %v", r)
+				}
+			}()
+			if err := tc.call(); err == nil {
+				t.Fatal("no error")
+			} else {
+				t.Log(err)
+			}
+		})
 	}
 }

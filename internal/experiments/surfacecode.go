@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 
 	"hetarch/internal/obs/stats"
@@ -25,7 +26,7 @@ func perCycleBothBases(ctx context.Context, p surface.Params, shots int, seed in
 		pp.Basis = basis
 		e, err := surface.New(pp)
 		if err != nil {
-			panic(err)
+			return 0, nil, fmt.Errorf("d=%d: %w", p.Distance, err)
 		}
 		r, err := e.RunContext(ctx, shots, seed, workers)
 		if err != nil {

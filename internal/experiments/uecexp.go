@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 
 	"hetarch/internal/obs/stats"
@@ -45,7 +46,7 @@ func combinedUEC(ctx context.Context, code *qec.Code, tsMillis float64, het, nat
 		p.NativePlacement = native
 		e, err := uec.New(p)
 		if err != nil {
-			panic(err)
+			return 0, nil, fmt.Errorf("%s: %w", code.Name, err)
 		}
 		r, err := e.RunContext(ctx, shots, seed, workers)
 		if err != nil {

@@ -3,7 +3,6 @@ package stabsim
 import (
 	"hetarch/internal/splitmix"
 	"math"
-	"math/bits"
 
 	"hetarch/internal/obs"
 )
@@ -119,24 +118,6 @@ type BatchResult struct {
 	Observables []uint64
 }
 
-// ForEachDetectorBit walks the set bits of the packed detector words,
-// calling fn(detector, shot) for every fired (detector, shot) pair in
-// (detector-major, shot-minor) order. At the physical error rates of the
-// evaluation sweeps most words are zero, so a full sweep costs one word
-// test per detector plus one call per actual defect. The decode hot paths
-// (decoder.DecodeBatch, the uec syndrome transpose) inline the same
-// TrailingZeros64 walk to keep their per-shot buffers local; this is the
-// general-purpose form for new consumers.
-func (r BatchResult) ForEachDetectorBit(fn func(detector, shot int)) {
-	for d, w := range r.Detectors {
-		for w != 0 {
-			s := bits.TrailingZeros64(w)
-			w &= w - 1
-			fn(d, s)
-		}
-	}
-}
-
 // SampleBatch executes 64 shots and returns their detector and observable
 // words. The returned slices alias the sampler's internal buffers: they are
 // valid until the next SampleBatch call and must not be retained or
@@ -208,14 +189,25 @@ func (b *BatchFrameSampler) SampleBatch() BatchResult {
 			}
 		case OpDepolarize2:
 			for t := 0; t < len(op.Targets); t += 2 {
+				// Code k = 1..15 is the pair's non-identity Pauli: k&3 on
+				// the first qubit, k>>2 on the second.
+				var ax, az, bx, bz uint64
 				events := b.noise[i].mask(b.rng)
 				for events != 0 {
 					bit := events & (-events)
 					events &^= bit
-					k := 1 + b.rng.Intn(15)
-					b.applyPauliCodeBit(op.Targets[t], k&3, bit)
-					b.applyPauliCodeBit(op.Targets[t+1], k>>2, bit)
+					k := uint64(1 + b.rng.Intn(15))
+					x, z := pauliBits(k & 3)
+					ax |= bit & -x
+					az |= bit & -z
+					x, z = pauliBits(k >> 2)
+					bx |= bit & -x
+					bz |= bit & -z
 				}
+				b.fx[op.Targets[t]] ^= ax
+				b.fz[op.Targets[t]] ^= az
+				b.fx[op.Targets[t+1]] ^= bx
+				b.fz[op.Targets[t+1]] ^= bz
 			}
 		case OpXError:
 			for _, q := range op.Targets {
@@ -232,24 +224,23 @@ func (b *BatchFrameSampler) SampleBatch() BatchResult {
 				b.fz[q] ^= b.noise[i].mask(b.rng)
 			}
 		case OpPauliChannel1:
+			// u < px is X, u < px+py is Y, anything above is Z: the event
+			// has an X component when u < px+py and a Z component when
+			// u >= px (px+py >= px, as py >= 0).
 			px, py, pz := op.Args[0], op.Args[1], op.Args[2]
-			total := px + py + pz
+			total, pxy := px+py+pz, px+py
 			for _, q := range op.Targets {
+				var mx, mz uint64
 				events := b.noise[i].mask(b.rng)
 				for events != 0 {
 					bit := events & (-events)
 					events &^= bit
 					u := b.rng.Float64() * total
-					switch {
-					case u < px:
-						b.fx[q] ^= bit
-					case u < px+py:
-						b.fx[q] ^= bit
-						b.fz[q] ^= bit
-					default:
-						b.fz[q] ^= bit
-					}
+					mx |= bit & -b2u(u < pxy)
+					mz |= bit & -b2u(u >= px)
 				}
+				b.fx[q] ^= mx
+				b.fz[q] ^= mz
 			}
 		case OpDetector:
 			var v uint64
@@ -271,33 +262,32 @@ func (b *BatchFrameSampler) SampleBatch() BatchResult {
 }
 
 // applySparsePauli XORs a uniformly random non-identity Pauli into the
-// frame at q for each set bit of the event mask.
+// frame at q for each set bit of the event mask. The draw r = 0, 1, 2 is
+// X, Y, Z: the event has an X component when r < 2 and a Z component when
+// r > 0. The masks collect the events' distinct bits and meet the frame
+// once.
 func (b *BatchFrameSampler) applySparsePauli(q int, events uint64) {
+	var mx, mz uint64
 	for events != 0 {
 		bit := events & (-events)
 		events &^= bit
-		switch b.rng.Intn(3) {
-		case 0:
-			b.fx[q] ^= bit
-		case 1:
-			b.fx[q] ^= bit
-			b.fz[q] ^= bit
-		default:
-			b.fz[q] ^= bit
-		}
+		r := b.rng.Intn(3)
+		mx |= bit & -b2u(r < 2)
+		mz |= bit & -b2u(r > 0)
 	}
+	b.fx[q] ^= mx
+	b.fz[q] ^= mz
 }
 
-// applyPauliCodeBit XORs Pauli code (0=I 1=X 2=Y 3=Z) into shot bit `bit`
-// of qubit q's frame.
-func (b *BatchFrameSampler) applyPauliCodeBit(q, code int, bit uint64) {
-	switch code {
-	case 1:
-		b.fx[q] ^= bit
-	case 2:
-		b.fx[q] ^= bit
-		b.fz[q] ^= bit
-	case 3:
-		b.fz[q] ^= bit
+// pauliBits splits Pauli code c (0=I 1=X 2=Y 3=Z) into its X and Z
+// components, each 0 or 1.
+func pauliBits(c uint64) (x, z uint64) { return (c ^ c>>1) & 1, c >> 1 }
+
+// b2u is 1 for true and 0 for false. The compiler emits it as a SETcc, so
+// an event mask takes a comparison without a branch.
+func b2u(c bool) uint64 {
+	if c {
+		return 1
 	}
+	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hetarch/internal/splitmix"
@@ -32,39 +33,6 @@ func TestBernoulliMaskStatistics(t *testing.T) {
 		got := float64(total) / float64(samples*64)
 		if math.Abs(got-p) > 0.01+p*0.05 {
 			t.Fatalf("p=%v: measured %v", p, got)
-		}
-	}
-}
-
-// TestForEachDetectorBit pins the sparse iterator against a dense scan of
-// the same words: every fired (detector, shot) pair exactly once, in
-// detector-major shot-minor order.
-func TestForEachDetectorBit(t *testing.T) {
-	rng := splitmix.New(4)
-	words := make([]uint64, 9)
-	for i := range words {
-		words[i] = rng.Uint64() & rng.Uint64() & rng.Uint64() // sparse-ish
-	}
-	words[3] = 0 // empty word must be skipped wholesale
-	res := BatchResult{Detectors: words}
-
-	var got [][2]int
-	res.ForEachDetectorBit(func(d, s int) { got = append(got, [2]int{d, s}) })
-
-	var want [][2]int
-	for d, w := range words {
-		for s := 0; s < 64; s++ {
-			if w>>uint(s)&1 == 1 {
-				want = append(want, [2]int{d, s})
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("iterator visited %d pairs, dense scan %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: iterator %v, dense scan %v", i, got[i], want[i])
 		}
 	}
 }
@@ -174,4 +142,186 @@ func TestBatchMRClears(t *testing.T) {
 	if res := bs.SampleBatch(); res.Detectors[0] != 0 {
 		t.Fatal("MR should clear the frame in every shot")
 	}
+}
+
+// circuitFromBytes decodes data into a circuit over 1..8 qubits that uses
+// every op the batch sampler accepts: a qubit count, then one record per
+// op, an op byte followed by target and probability bytes. Every byte
+// string maps to a valid circuit. Probabilities come from whole bytes, so
+// p = 1 (the degenerate full mask) and, for PauliChannel1, exact zero
+// components are common.
+func circuitFromBytes(data []byte) *Circuit {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := int(data[0])
+		data = data[1:]
+		return v
+	}
+	n := 1 + next()%8
+	c := NewCircuit(n)
+	targets := func() []int {
+		qs := make([]int, 1+next()%3)
+		for i := range qs {
+			qs[i] = next() % n
+		}
+		return qs
+	}
+	pairs := func() []int {
+		var qs []int
+		for i := 1 + next()%2; i > 0; i-- {
+			a := next() % n
+			qs = append(qs, a, (a+1+next()%(n-1))%n)
+		}
+		return qs
+	}
+	prob := func() float64 { return float64(next()) / 255 }
+	// component is 0 for a quarter of the bytes; three of them sum to < 1.
+	component := func() float64 {
+		v := next()
+		if v%4 == 0 {
+			return 0
+		}
+		return float64(v) / 768
+	}
+	for ops := 0; len(data) > 0 && ops < 96; ops++ {
+		switch op := next() % 21; {
+		case op < 6:
+			switch op {
+			case 0:
+				c.H(targets()...)
+			case 1:
+				c.S(targets()...)
+			case 2:
+				c.SDag(targets()...)
+			case 3:
+				c.X(targets()...)
+			case 4:
+				c.Y(targets()...)
+			default:
+				c.Z(targets()...)
+			}
+		case op < 9:
+			if n < 2 {
+				continue
+			}
+			switch op {
+			case 6:
+				c.CX(pairs()...)
+			case 7:
+				c.CZ(pairs()...)
+			default:
+				c.Swap(pairs()...)
+			}
+		case op == 9:
+			c.MFlip(prob()/2, targets()...)
+		case op == 10:
+			c.MR(prob()/2, targets()...)
+		case op == 11:
+			c.R(targets()...)
+		case op == 12:
+			c.Depolarize1(prob(), targets()...)
+		case op == 13:
+			// Pairs may repeat a qubit: Depolarize2 accepts them.
+			qs := make([]int, 2+2*(next()%2))
+			for i := range qs {
+				qs[i] = next() % n
+			}
+			c.Depolarize2(prob(), qs...)
+		case op == 14:
+			c.XError(prob(), targets()...)
+		case op == 15:
+			c.YError(prob(), targets()...)
+		case op == 16:
+			c.ZError(prob(), targets()...)
+		case op == 17:
+			c.PauliChannel1(component(), component(), component(), targets()...)
+		case op == 18 || op == 19:
+			if c.NumMeasurements() == 0 {
+				continue
+			}
+			recs := make([]int, 1+next()%3)
+			for i := range recs {
+				recs[i] = -1 - next()%c.NumMeasurements()
+			}
+			if op == 18 {
+				c.Detector(recs...)
+			} else {
+				c.Observable(next()%2, recs...)
+			}
+		default:
+			c.Tick()
+		}
+	}
+	return c
+}
+
+// compareWithReference samples batches of c with SampleBatch and with the
+// verbatim referenceSampleBatch from identically seeded generators, and
+// fails on the first detector, observable or frame word that differs.
+func compareWithReference(t *testing.T, c *Circuit, seed int64, batches int) {
+	t.Helper()
+	got := NewBatchFrameSampler(c, splitmix.New(seed))
+	want := NewBatchFrameSampler(c, splitmix.New(seed))
+	for i := 0; i < batches; i++ {
+		g, w := got.SampleBatch(), want.referenceSampleBatch()
+		switch {
+		case !slices.Equal(g.Detectors, w.Detectors):
+			t.Fatalf("batch %d: detectors %x, reference %x", i, g.Detectors, w.Detectors)
+		case !slices.Equal(g.Observables, w.Observables):
+			t.Fatalf("batch %d: observables %x, reference %x", i, g.Observables, w.Observables)
+		case !slices.Equal(got.fx, want.fx) || !slices.Equal(got.fz, want.fz):
+			t.Fatalf("batch %d: frame X %x Z %x, reference X %x Z %x", i, got.fx, got.fz, want.fx, want.fz)
+		}
+	}
+}
+
+// TestBatchSamplerMatchesReference compares SampleBatch with the verbatim
+// reference word for word on 200 random circuits of 50 batches each (10^4
+// batches), and checks that the circuits exercised PauliChannel1 with a
+// zero component, Depolarize1, Depolarize2, M and MR.
+func TestBatchSamplerMatchesReference(t *testing.T) {
+	rng := splitmix.New(22)
+	seen := map[OpCode]bool{}
+	zeroComponent := false
+	for i := 0; i < 200; i++ {
+		data := make([]byte, 64+rng.Intn(256))
+		for j := range data {
+			data[j] = byte(rng.Uint64())
+		}
+		c := circuitFromBytes(data)
+		for _, op := range c.Ops {
+			seen[op.Code] = true
+			if op.Code == OpPauliChannel1 && slices.Contains(op.Args, 0) {
+				zeroComponent = true
+			}
+		}
+		compareWithReference(t, c, rng.Int63(), 50)
+	}
+	for _, code := range []OpCode{OpPauliChannel1, OpDepolarize1, OpDepolarize2, OpM, OpMR} {
+		if !seen[code] {
+			t.Errorf("no circuit used op %d", code)
+		}
+	}
+	if !zeroComponent {
+		t.Error("no circuit used a PauliChannel1 with a zero component")
+	}
+}
+
+// FuzzBatchSampler drives SampleBatch and the verbatim reference over
+// fuzzer-built circuits: the first eight bytes seed the generator, the
+// rest build the circuit, and four batches must agree word for word.
+func FuzzBatchSampler(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 3, 17, 2, 5, 100, 200, 7, 9, 1, 0, 18, 0, 0})
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 7, 12, 2, 1, 2, 3, 128, 13, 1, 0, 1, 2, 3, 255, 10, 2, 0, 1, 2, 60, 18, 2, 0, 1, 2})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 2, 4, 17, 1, 0, 4, 0, 200, 0, 6, 0, 1, 2, 9, 1, 0, 3, 19, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var seed int64
+		for i := 0; i < 8 && len(data) > 0; i++ {
+			seed = seed<<8 | int64(data[0])
+			data = data[1:]
+		}
+		compareWithReference(t, circuitFromBytes(data), seed, 4)
+	})
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestRunShardedSteadyStateZeroAllocs gates the UEC shard runner — batch
-// frame sampling, sparse syndrome transpose and two-stage lookup decode —
+// frame sampling, sparse syndrome transpose and parity-table decode —
 // at zero allocations per shot once its arenas are warm, on the Fig 9
 // (Steane, heterogeneous) and Table 3 (TriColor-d5, homogeneous)
 // configurations. AllocsPerRun makes one unmeasured warm-up call before

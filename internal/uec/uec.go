@@ -105,7 +105,8 @@ func DefaultParams(code *qec.Code, tsMillis float64, heterogeneous bool) Params 
 }
 
 // Experiment is a compiled UEC memory experiment: the stabsim circuit plus
-// the minimum-weight lookup decoder for the measured sector.
+// the measured sector's minimum-weight lookup decoder, reduced to the
+// logical parity of its correction for each syndrome.
 type Experiment struct {
 	P       Params
 	Circuit *stabsim.Circuit
@@ -116,8 +117,7 @@ type Experiment struct {
 
 	CycleDuration float64 // µs per full (serialized or parallel) QEC cycle
 
-	lookup      *decoder.Lookup
-	checkMasks  []uint64 // basis-type stabilizer supports
+	parity      []uint64 // decoder.Lookup.LogicalParity over the basis checks
 	logicalMask uint64
 	numChecks   int
 }
@@ -154,15 +154,21 @@ func New(p Params) (*Experiment, error) {
 	e := &Experiment{P: p}
 	basis, _ := p.basisStabs()
 	e.numChecks = len(basis)
-	for _, s := range basis {
-		e.checkMasks = append(e.checkMasks, maskOf(s))
+	checkMasks := make([]uint64, len(basis))
+	for i, s := range basis {
+		checkMasks[i] = maskOf(s)
 	}
 	logical := p.Code.LogicalZ
 	if p.Basis == 'X' {
 		logical = p.Code.LogicalX
 	}
 	e.logicalMask = maskOf(qec.Support(logical))
-	e.lookup = decoder.CachedLookup(p.Code.N, e.checkMasks)
+	lookup := decoder.CachedLookup(p.Code.N, checkMasks)
+	if lookup.TableSize() != 1<<len(checkMasks) {
+		return nil, fmt.Errorf("uec: %c checks are not independent: the lookup table covers %d of %d syndromes",
+			p.Basis, lookup.TableSize(), 1<<len(checkMasks))
+	}
+	e.parity = lookup.LogicalParity(e.logicalMask)
 
 	if p.Registers <= 0 {
 		p.Registers = 3
@@ -497,14 +503,19 @@ func (r Result) LogicalErrorRate() float64 {
 }
 
 // RunContext samples the experiment with the bit-parallel batch sampler
-// and decodes each shot with the two-stage lookup decoder: stage 1
-// corrects from the noisy round's syndrome, stage 2 from the verification
-// round's residual syndrome; a shot is a logical error when the combined
-// correction disagrees with the true observable flip.
+// and decodes each shot in two stages: stage 1 corrects from the noisy
+// round's syndrome s1, stage 2 from the residual of the verification
+// round's syndrome sBoth. A shot is a logical error when the combined
+// correction's logical parity disagrees with the true observable flip.
+//
+// The lookup table is complete (New checks it), so Syndrome(Decode(s)) == s
+// and the stage-2 residual is s1 ^ sBoth. Logical parity is linear over
+// XOR, so the prediction is parity[s1] ^ parity[s1^sBoth]: two bit reads
+// per shot, with no map lookup, syndrome recomputation or shared counter.
 //
 // The mc engine distributes the shot budget across worker goroutines
 // (workers <= 0 means runtime.NumCPU(), 1 runs serially on the calling
-// goroutine). Workers own their batch samplers; the lookup decoder is
+// goroutine). Workers own their batch samplers; the parity bitset is
 // immutable after construction and shared read-only. Pooled (shots,
 // errors) are bit-identical for any worker count.
 //
@@ -514,6 +525,7 @@ func (r Result) LogicalErrorRate() float64 {
 // across interrupts and are not re-executed on resume.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
 	k := e.numChecks
+	parity := e.parity
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}
 	tally, err := mc.RunContext(ctx, cfg, func() mc.ShardRunner {
 		rng := splitmix.New(0)
@@ -543,25 +555,11 @@ func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, work
 						synBoth[bits.TrailingZeros64(w)] |= 1 << uint(i)
 					}
 				}
+				actual := batch.Observables[0]
 				for s := 0; s < n; s++ {
-					s1, sBoth := syn1[s], synBoth[s]
-					actual := batch.Observables[0]>>uint(s)&1 == 1
-					if s1 == 0 && sBoth == 0 {
-						// Clean shot: both decodes are identity, the
-						// prediction is "no flip" — skip the table lookups.
-						if actual {
-							t.Errors++
-						}
-						continue
-					}
-					c1 := e.lookup.Decode(s1)
-					resid := sBoth ^ e.lookup.Syndrome(c1)
-					c2 := e.lookup.Decode(resid)
-					total := c1 ^ c2
-					predicted := bits.OnesCount64(total&e.logicalMask)%2 == 1
-					if predicted != actual {
-						t.Errors++
-					}
+					s1, s2 := syn1[s], syn1[s]^synBoth[s]
+					predicted := parity[s1/64]>>(s1%64) ^ parity[s2/64]>>(s2%64)
+					t.Errors += int64((predicted ^ actual>>uint(s)) & 1)
 				}
 				done += n
 			}

@@ -164,6 +164,16 @@ func TestRejectsOversizedCode(t *testing.T) {
 	}
 }
 
+// A repeated Z check leaves half the 2^k syndromes unreachable, so the
+// lookup table is incomplete and the parity-table decode would be wrong.
+func TestRejectsDependentChecks(t *testing.T) {
+	code := *qec.Steane()
+	code.ZStabs = append(code.ZStabs[:len(code.ZStabs):len(code.ZStabs)], code.ZStabs[0])
+	if _, err := New(DefaultParams(&code, 50, true)); err == nil {
+		t.Fatal("expected dependent-check rejection")
+	}
+}
+
 func TestRejectsBadBasis(t *testing.T) {
 	p := DefaultParams(qec.Steane(), 50, true)
 	p.Basis = '?'
