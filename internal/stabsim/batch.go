@@ -1,10 +1,11 @@
 package stabsim
 
 import (
-	"hetarch/internal/splitmix"
 	"math"
+	"slices"
 
 	"hetarch/internal/obs"
+	"hetarch/internal/splitmix"
 )
 
 // Batch sampling telemetry: one atomic add per 64-shot batch, invisible
@@ -14,57 +15,132 @@ var (
 	batchShotsCount = obs.C("stabsim.batch_shots")
 )
 
-// maskParams is the per-op precomputed state of the geometric-skip Bernoulli
-// sampler. Every noise op has a fixed probability, so log1p(-p) — one math
-// call per mask draw in the naive formulation — is computed once per circuit
-// op at sampler construction, and the probability that a whole 64-shot word
-// is error-free, q^64, becomes a single precomputed threshold: the common
-// all-zero mask then costs one uniform draw and one compare instead of a
-// math.Log.
-type maskParams struct {
-	p       float64 // the op's event probability
-	logq    float64 // log1p(-p), the geometric-skip denominator
-	anyBit  float64 // 1 - (1-p)^64: P(at least one of 64 shots draws the event)
-	degener bool    // p <= 0 or p >= 1: no randomness needed
+// Geometric-skip sampling. mask finds the set bits of a word whose bits are
+// independently 1 with probability p by skipping error-free shots: a draw
+// n, the 53 bits rng.Float64 would turn into u = n·2⁻⁵³, skips
+// ⌊log(1−u)/log(1−p)⌋ shots (Gidney, arXiv:2103.02202). That gap never
+// shrinks as n grows, so a table of the least draw reaching each gap, built
+// once per probability, replaces the logarithm with integer compares.
+const (
+	drawBits    = 53                    // a draw is the top 53 bits of one RNG word
+	drawLimit   = 1 << drawBits         // draws lie in [0, drawLimit)
+	gapCap      = 64                    // a gap of 64 or more leaves the word
+	bucketBits  = 12                    // 2^12 buckets of 2^41 draws each
+	bucketShift = drawBits - bucketBits // a draw's bucket is n >> bucketShift
+	bracket     = 4                     // draws searched either side of a threshold's estimate
+)
+
+// gapTable holds, for one probability p, the gap of every draw, capped at
+// gapCap. Its thresholds come from bisection on the very expression the
+// logarithmic sampler evaluated, int(math.Log(1-u) / math.Log1p(-p)), so a
+// looked-up gap equals that expression's value, as long as the expression
+// does not decrease as n grows (TestGapTableExact, FuzzGapTable).
+type gapTable struct {
+	p float64
+	// anyN is ⌈(1 − (1−p)^64)·2^53⌉: a first draw n >= anyN leaves all 64
+	// shots error-free, which is the logarithmic sampler's u >= 1 − q^64.
+	anyN uint64
+	// thr[k], k = 1..64, is the least draw whose gap is at least k, or
+	// drawLimit if no draw's is; thr[0] = 0, and thr[65] = drawLimit stops
+	// the walk in gap.
+	thr [gapCap + 2]uint64
+	// bucket[b] is the gap of draw b << bucketShift, the least of bucket b.
+	bucket [1 << bucketBits]uint8
 }
 
-func newMaskParams(p float64) maskParams {
-	m := maskParams{p: p}
-	if p <= 0 || p >= 1 {
-		m.degener = true
-		return m
+// build fills t for probability p, 0 < p < 1.
+func (t *gapTable) build(p float64) {
+	logq := math.Log1p(-p)
+	t.p = p
+	t.anyN = uint64(math.Ceil((1 - math.Exp(64*logq)) * 0x1p53))
+	// reaches reports whether draw n's gap is at least k.
+	reaches := func(n uint64, k int) bool {
+		return n >= drawLimit || math.Log(1-float64(n)*0x1p-53)/logq >= float64(k)
 	}
-	m.logq = math.Log1p(-p)
-	// P(no set bit) = q^64 = exp(64·log q); the first geometric gap is >= 64
-	// exactly when the uniform draw u satisfies 1-u <= q^64.
-	m.anyBit = 1 - math.Exp(64*m.logq)
-	return m
+	for k := 1; k <= gapCap; k++ {
+		lo, hi := t.thr[k-1], uint64(drawLimit)
+		// The threshold in exact arithmetic, (1 − q^k)·2^53, is a few draws
+		// from the computed one. Narrow the search to either side of it
+		// where the expression confirms the bound.
+		est := uint64(-math.Expm1(float64(k)*logq) * 0x1p53)
+		if a := est - min(est, bracket); a >= lo && !reaches(a, k) {
+			lo = a + 1
+		}
+		if b := est + bracket; b < hi && reaches(b, k) {
+			hi = b
+		}
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if reaches(mid, k) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		t.thr[k] = lo
+	}
+	t.thr[gapCap+1] = drawLimit
+	// Bucket b has gap g when thr[g] <= b << bucketShift < thr[g+1].
+	b := 0
+	for g := 0; g <= gapCap; g++ {
+		for end := (t.thr[g+1] + 1<<bucketShift - 1) >> bucketShift; uint64(b) < end; b++ {
+			t.bucket[b] = uint8(g)
+		}
+	}
+}
+
+// gap returns draw n's gap, capped at gapCap: the gap of n's bucket,
+// stepped past the thresholds inside the bucket that n reaches. Buckets are
+// narrow against the spacing of the thresholds, so the loop almost always
+// makes one failed compare.
+func (t *gapTable) gap(n uint64) int {
+	g := int(t.bucket[n>>bucketShift])
+	for n >= t.thr[g+1] {
+		g++
+	}
+	return g
+}
+
+// maskParams is one op's event sampling state. Ops with the same
+// probability share one gap table.
+type maskParams struct {
+	p    float64   // the op's event probability; 0 for an op without events
+	gaps *gapTable // nil when p is 0 or 1: the word needs no draw
 }
 
 // mask draws a 64-bit word whose bits are independently 1 with the op's
-// probability, consuming one uniform plus one per set bit. The fast path —
-// one draw, one compare — handles the all-zero word that dominates at the
-// physical error rates of the evaluation sweeps.
+// probability, consuming one draw plus one per set bit. The all-zero word,
+// which dominates at the physical error rates of the evaluation sweeps,
+// costs one draw and one compare.
 func (m *maskParams) mask(rng *splitmix.RNG) uint64 {
-	if m.degener {
+	t := m.gaps
+	if t == nil {
 		if m.p >= 1 {
 			return ^uint64(0)
 		}
 		return 0
 	}
-	u := rng.Float64()
-	if u >= m.anyBit {
+	n := rng.Uint64() >> (64 - drawBits)
+	if n >= t.anyN {
 		return 0
 	}
 	var w uint64
-	pos := int(math.Log(1-u) / m.logq)
-	for pos < 64 {
+	for pos := t.gap(n); pos < gapCap; pos += 1 + t.gap(rng.Uint64()>>(64-drawBits)) {
 		w |= 1 << uint(pos)
-		pos++
-		u = rng.Float64()
-		pos += int(math.Log(1-u) / m.logq)
 	}
 	return w
+}
+
+// eventProbability is the probability that a noise op, or a measurement's
+// readout flip, fires on one target; 0 for every other op.
+func eventProbability(op *Op) float64 {
+	switch op.Code {
+	case OpM, OpMR, OpDepolarize1, OpDepolarize2, OpXError, OpYError, OpZError:
+		return op.Args[0]
+	case OpPauliChannel1:
+		return op.Args[0] + op.Args[1] + op.Args[2]
+	}
+	return 0
 }
 
 // BatchFrameSampler propagates 64 Pauli frames simultaneously, one per bit
@@ -84,28 +160,44 @@ type BatchFrameSampler struct {
 	flips     []uint64 // measurement-record words
 	detectors []uint64
 	obs       []uint64
-	noise     []maskParams // per-op cached Bernoulli state (zero for non-noise ops)
+	noise     []maskParams // per-op event sampling state (zero for ops without events)
 }
 
-// NewBatchFrameSampler prepares a bit-parallel sampler for the circuit.
+// NewBatchFrameSampler prepares a bit-parallel sampler for the circuit. It
+// makes four allocations whatever the circuit: the sampler, the per-op
+// noise state, one slab of frame, record, detector and observable words,
+// and one slab holding a gap table per distinct probability.
 func NewBatchFrameSampler(c *Circuit, rng *splitmix.RNG) *BatchFrameSampler {
-	b := &BatchFrameSampler{
-		c:         c,
-		rng:       rng,
-		fx:        make([]uint64, c.N),
-		fz:        make([]uint64, c.N),
-		flips:     make([]uint64, 0, c.numMeasurements),
-		detectors: make([]uint64, c.numDetectors),
-		obs:       make([]uint64, c.numObservables),
-		noise:     make([]maskParams, len(c.Ops)),
+	b := &BatchFrameSampler{c: c, rng: rng, noise: make([]maskParams, len(c.Ops))}
+	n, m, d := c.N, c.numMeasurements, c.numDetectors
+	words := make([]uint64, 2*n+m+d+c.numObservables)
+	b.fx, b.fz = words[:n:n], words[n:2*n:2*n]
+	b.flips = words[2*n : 2*n : 2*n+m]
+	b.detectors = words[2*n+m : 2*n+m+d : 2*n+m+d]
+	b.obs = words[2*n+m+d:]
+
+	// noise[:k] first lists the distinct probabilities that need a table;
+	// the loop after the build overwrites every entry.
+	k := 0
+	for i := range c.Ops {
+		p := eventProbability(&c.Ops[i])
+		if p > 0 && p < 1 && !slices.ContainsFunc(b.noise[:k], func(m maskParams) bool { return m.p == p }) {
+			b.noise[k].p = p
+			k++
+		}
+	}
+	tables := make([]gapTable, k)
+	for j := range tables {
+		tables[j].build(b.noise[j].p)
 	}
 	for i := range c.Ops {
-		op := &c.Ops[i]
-		switch op.Code {
-		case OpM, OpMR, OpDepolarize1, OpDepolarize2, OpXError, OpYError, OpZError:
-			b.noise[i] = newMaskParams(op.Args[0])
-		case OpPauliChannel1:
-			b.noise[i] = newMaskParams(op.Args[0] + op.Args[1] + op.Args[2])
+		p := eventProbability(&c.Ops[i])
+		b.noise[i] = maskParams{p: p}
+		for j := range tables {
+			if t := &tables[j]; t.p == p {
+				b.noise[i].gaps = t
+				break
+			}
 		}
 	}
 	return b

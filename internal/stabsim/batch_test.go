@@ -10,21 +10,30 @@ import (
 	"hetarch/internal/splitmix"
 )
 
+// maskFor returns the sampling state NewBatchFrameSampler gives an op
+// whose event probability is p.
+func maskFor(p float64) maskParams {
+	return NewBatchFrameSampler(NewCircuit(1).MFlip(p, 0), nil).noise[0]
+}
+
 func TestBernoulliMaskExtremes(t *testing.T) {
 	rng := splitmix.New(1)
-	zero, one := newMaskParams(0), newMaskParams(1)
+	zero, one := maskFor(0), maskFor(1)
 	if zero.mask(rng) != 0 {
 		t.Fatal("p=0 should give empty mask")
 	}
 	if one.mask(rng) != ^uint64(0) {
 		t.Fatal("p=1 should give full mask")
 	}
+	if rng.Uint64() != splitmix.New(1).Uint64() {
+		t.Fatal("p=0 and p=1 should draw nothing")
+	}
 }
 
 func TestBernoulliMaskStatistics(t *testing.T) {
 	rng := splitmix.New(2)
 	for _, p := range []float64{0.01, 0.1, 0.5, 0.9} {
-		m := newMaskParams(p)
+		m := maskFor(p)
 		total := 0
 		samples := 4000
 		for i := 0; i < samples; i++ {
@@ -264,8 +273,9 @@ func compareWithReference(t *testing.T, c *Circuit, seed int64, batches int) {
 	t.Helper()
 	got := NewBatchFrameSampler(c, splitmix.New(seed))
 	want := NewBatchFrameSampler(c, splitmix.New(seed))
+	noise := referenceNoise(c)
 	for i := 0; i < batches; i++ {
-		g, w := got.SampleBatch(), want.referenceSampleBatch()
+		g, w := got.SampleBatch(), want.referenceSampleBatch(noise)
 		switch {
 		case !slices.Equal(g.Detectors, w.Detectors):
 			t.Fatalf("batch %d: detectors %x, reference %x", i, g.Detectors, w.Detectors)

@@ -71,6 +71,9 @@ type Op struct {
 //     into one OpPauliChannel1 whose probabilities are the exact channel
 //     composition — the sampled error distribution is identical, but the
 //     samplers draw one event mask per fused stack instead of one per op.
+//
+// The builders panic on a qubit out of range and on a noise probability
+// that is NaN or outside [0, 1].
 type Circuit struct {
 	N   int
 	Ops []Op
@@ -205,6 +208,15 @@ func (c *Circuit) checkQubits(qs ...int) {
 	}
 }
 
+// checkProbability panics unless p lies in [0, 1]. The samplers would
+// otherwise read NaN or an out-of-range p as some other probability: a NaN
+// readout flip, for one, flipped every other shot.
+func checkProbability(p float64) {
+	if !(p >= 0 && p <= 1) {
+		panic(fmt.Sprintf("stabsim: noise probability %v outside [0, 1]", p))
+	}
+}
+
 func (c *Circuit) gate1(code OpCode, qs ...int) *Circuit {
 	c.checkQubits(qs...)
 	c.Ops = append(c.Ops, Op{Code: code, Targets: c.carveInts(qs)})
@@ -259,6 +271,7 @@ func (c *Circuit) M(qs ...int) *Circuit { return c.MFlip(0, qs...) }
 // probability p (readout error), one record per qubit in order.
 func (c *Circuit) MFlip(p float64, qs ...int) *Circuit {
 	c.checkQubits(qs...)
+	checkProbability(p)
 	c.Ops = append(c.Ops, Op{Code: OpM, Targets: c.carveInts(qs), Args: c.carveFloats(p)})
 	c.numMeasurements += len(qs)
 	return c
@@ -267,6 +280,7 @@ func (c *Circuit) MFlip(p float64, qs ...int) *Circuit {
 // MR appends measure-and-reset operations with flip probability p.
 func (c *Circuit) MR(p float64, qs ...int) *Circuit {
 	c.checkQubits(qs...)
+	checkProbability(p)
 	c.Ops = append(c.Ops, Op{Code: OpMR, Targets: c.carveInts(qs), Args: c.carveFloats(p)})
 	c.numMeasurements += len(qs)
 	return c
@@ -278,6 +292,7 @@ func (c *Circuit) R(qs ...int) *Circuit { return c.gate1(OpR, qs...) }
 // Depolarize1 appends single-qubit depolarizing noise with probability p.
 func (c *Circuit) Depolarize1(p float64, qs ...int) *Circuit {
 	c.checkQubits(qs...)
+	checkProbability(p)
 	if p > 0 {
 		if len(qs) == 1 && c.fusePauli1(qs[0], p/3, p/3, p/3) {
 			return c
@@ -293,6 +308,7 @@ func (c *Circuit) Depolarize2(p float64, pairs ...int) *Circuit {
 		panic("stabsim: Depolarize2 needs pairs")
 	}
 	c.checkQubits(pairs...)
+	checkProbability(p)
 	if p > 0 {
 		c.Ops = append(c.Ops, Op{Code: OpDepolarize2, Targets: c.carveInts(pairs), Args: c.carveFloats(p)})
 	}
@@ -302,6 +318,7 @@ func (c *Circuit) Depolarize2(p float64, pairs ...int) *Circuit {
 // XError appends X errors with probability p.
 func (c *Circuit) XError(p float64, qs ...int) *Circuit {
 	c.checkQubits(qs...)
+	checkProbability(p)
 	if p > 0 {
 		if len(qs) == 1 && c.fusePauli1(qs[0], p, 0, 0) {
 			return c
@@ -314,6 +331,7 @@ func (c *Circuit) XError(p float64, qs ...int) *Circuit {
 // YError appends Y errors with probability p.
 func (c *Circuit) YError(p float64, qs ...int) *Circuit {
 	c.checkQubits(qs...)
+	checkProbability(p)
 	if p > 0 {
 		if len(qs) == 1 && c.fusePauli1(qs[0], 0, p, 0) {
 			return c
@@ -326,6 +344,7 @@ func (c *Circuit) YError(p float64, qs ...int) *Circuit {
 // ZError appends Z errors with probability p.
 func (c *Circuit) ZError(p float64, qs ...int) *Circuit {
 	c.checkQubits(qs...)
+	checkProbability(p)
 	if p > 0 {
 		if len(qs) == 1 && c.fusePauli1(qs[0], 0, 0, p) {
 			return c
@@ -335,9 +354,13 @@ func (c *Circuit) ZError(p float64, qs ...int) *Circuit {
 	return c
 }
 
-// PauliChannel1 appends an asymmetric Pauli channel (px, py, pz).
+// PauliChannel1 appends an asymmetric Pauli channel (px, py, pz). Each
+// component must be a probability and their sum at most 1.
 func (c *Circuit) PauliChannel1(px, py, pz float64, qs ...int) *Circuit {
 	c.checkQubits(qs...)
+	checkProbability(px)
+	checkProbability(py)
+	checkProbability(pz)
 	if px+py+pz > 1 {
 		panic("stabsim: PauliChannel1 probabilities exceed 1")
 	}

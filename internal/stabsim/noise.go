@@ -40,11 +40,3 @@ func IdlePauliChannel(duration, t1, t2 float64) (px, py, pz float64) {
 	}
 	return px, py, pz
 }
-
-// IdleErrorProbability returns the total probability that an idle period
-// causes any Pauli error — a scalar summary used for phenomenological
-// module-level error composition.
-func IdleErrorProbability(duration, t1, t2 float64) float64 {
-	px, py, pz := IdlePauliChannel(duration, t1, t2)
-	return px + py + pz
-}

@@ -1,13 +1,88 @@
 package stabsim
 
+import (
+	"math"
+
+	"hetarch/internal/splitmix"
+)
+
+// referenceMaskParams, newReferenceMaskParams and referenceMask are
+// maskParams, newMaskParams and mask as they stood before mask read its
+// geometric gaps from per-probability tables, kept verbatim (names aside)
+// as the oracle for that rewrite: one math.Log per event. The table
+// sampler must reproduce every word they draw.
+type referenceMaskParams struct {
+	p       float64 // the op's event probability
+	logq    float64 // log1p(-p), the geometric-skip denominator
+	anyBit  float64 // 1 - (1-p)^64: P(at least one of 64 shots draws the event)
+	degener bool    // p <= 0 or p >= 1: no randomness needed
+}
+
+func newReferenceMaskParams(p float64) referenceMaskParams {
+	m := referenceMaskParams{p: p}
+	if p <= 0 || p >= 1 {
+		m.degener = true
+		return m
+	}
+	m.logq = math.Log1p(-p)
+	// P(no set bit) = q^64 = exp(64·log q); the first geometric gap is >= 64
+	// exactly when the uniform draw u satisfies 1-u <= q^64.
+	m.anyBit = 1 - math.Exp(64*m.logq)
+	return m
+}
+
+// referenceMask draws a 64-bit word whose bits are independently 1 with the op's
+// probability, consuming one uniform plus one per set bit. The fast path —
+// one draw, one compare — handles the all-zero word that dominates at the
+// physical error rates of the evaluation sweeps.
+func (m *referenceMaskParams) referenceMask(rng *splitmix.RNG) uint64 {
+	if m.degener {
+		if m.p >= 1 {
+			return ^uint64(0)
+		}
+		return 0
+	}
+	u := rng.Float64()
+	if u >= m.anyBit {
+		return 0
+	}
+	var w uint64
+	pos := int(math.Log(1-u) / m.logq)
+	for pos < 64 {
+		w |= 1 << uint(pos)
+		pos++
+		u = rng.Float64()
+		pos += int(math.Log(1-u) / m.logq)
+	}
+	return w
+}
+
+// referenceNoise is the per-op loop of NewBatchFrameSampler as it stood
+// with referenceMaskParams.
+func referenceNoise(c *Circuit) []referenceMaskParams {
+	noise := make([]referenceMaskParams, len(c.Ops))
+	for i := range c.Ops {
+		op := &c.Ops[i]
+		switch op.Code {
+		case OpM, OpMR, OpDepolarize1, OpDepolarize2, OpXError, OpYError, OpZError:
+			noise[i] = newReferenceMaskParams(op.Args[0])
+		case OpPauliChannel1:
+			noise[i] = newReferenceMaskParams(op.Args[0] + op.Args[1] + op.Args[2])
+		}
+	}
+	return noise
+}
+
 // referenceSampleBatch is SampleBatch as it stood before its Pauli events
 // were applied without data-dependent branches, kept verbatim as the
 // oracle for that rewrite: each event takes a three-way switch on its
-// draw and XORs its shot bit into the frame at once. The rewrite must
-// reproduce its detector, observable and frame words bit for bit
-// (TestBatchSamplerMatchesReference, FuzzBatchSampler). Only the three
-// method names differ from the original.
-func (b *BatchFrameSampler) referenceSampleBatch() BatchResult {
+// draw and XORs its shot bit into the frame at once. It draws its event
+// words with referenceMask from noise, the circuit's referenceNoise. The
+// rewrite must reproduce its detector, observable and frame words bit for
+// bit (TestBatchSamplerMatchesReference, FuzzBatchSampler). Only the
+// method names, the noise parameter and the mask calls differ from the
+// original.
+func (b *BatchFrameSampler) referenceSampleBatch(noise []referenceMaskParams) BatchResult {
 	batchCount.Inc()
 	batchShotsCount.Add(64)
 	for i := range b.fx {
@@ -55,11 +130,11 @@ func (b *BatchFrameSampler) referenceSampleBatch() BatchResult {
 			}
 		case OpM:
 			for _, q := range op.Targets {
-				b.flips = append(b.flips, b.fx[q]^b.noise[i].mask(b.rng))
+				b.flips = append(b.flips, b.fx[q]^noise[i].referenceMask(b.rng))
 			}
 		case OpMR:
 			for _, q := range op.Targets {
-				b.flips = append(b.flips, b.fx[q]^b.noise[i].mask(b.rng))
+				b.flips = append(b.flips, b.fx[q]^noise[i].referenceMask(b.rng))
 				b.fx[q] = 0
 				b.fz[q] = 0
 			}
@@ -70,11 +145,11 @@ func (b *BatchFrameSampler) referenceSampleBatch() BatchResult {
 			}
 		case OpDepolarize1:
 			for _, q := range op.Targets {
-				b.referenceApplySparsePauli(q, b.noise[i].mask(b.rng))
+				b.referenceApplySparsePauli(q, noise[i].referenceMask(b.rng))
 			}
 		case OpDepolarize2:
 			for t := 0; t < len(op.Targets); t += 2 {
-				events := b.noise[i].mask(b.rng)
+				events := noise[i].referenceMask(b.rng)
 				for events != 0 {
 					bit := events & (-events)
 					events &^= bit
@@ -85,23 +160,23 @@ func (b *BatchFrameSampler) referenceSampleBatch() BatchResult {
 			}
 		case OpXError:
 			for _, q := range op.Targets {
-				b.fx[q] ^= b.noise[i].mask(b.rng)
+				b.fx[q] ^= noise[i].referenceMask(b.rng)
 			}
 		case OpYError:
 			for _, q := range op.Targets {
-				m := b.noise[i].mask(b.rng)
+				m := noise[i].referenceMask(b.rng)
 				b.fx[q] ^= m
 				b.fz[q] ^= m
 			}
 		case OpZError:
 			for _, q := range op.Targets {
-				b.fz[q] ^= b.noise[i].mask(b.rng)
+				b.fz[q] ^= noise[i].referenceMask(b.rng)
 			}
 		case OpPauliChannel1:
 			px, py, pz := op.Args[0], op.Args[1], op.Args[2]
 			total := px + py + pz
 			for _, q := range op.Targets {
-				events := b.noise[i].mask(b.rng)
+				events := noise[i].referenceMask(b.rng)
 				for events != 0 {
 					bit := events & (-events)
 					events &^= bit

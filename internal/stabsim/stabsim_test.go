@@ -45,6 +45,46 @@ func TestCircuitBuilderPanics(t *testing.T) {
 	}
 }
 
+// TestNoiseProbabilityValidated: every builder that takes a noise
+// probability panics on NaN or a value outside [0, 1], and PauliChannel1 on
+// such a component even when the sum is in range. Unchecked, MFlip(NaN)
+// flipped every other shot, MFlip(-0.2) never flipped and XError(1.5)
+// always fired.
+func TestNoiseProbabilityValidated(t *testing.T) {
+	builders := map[string]func(c *Circuit, p float64){
+		"MFlip":            func(c *Circuit, p float64) { c.MFlip(p, 0) },
+		"MR":               func(c *Circuit, p float64) { c.MR(p, 0) },
+		"Depolarize1":      func(c *Circuit, p float64) { c.Depolarize1(p, 0) },
+		"Depolarize2":      func(c *Circuit, p float64) { c.Depolarize2(p, 0, 1) },
+		"XError":           func(c *Circuit, p float64) { c.XError(p, 0) },
+		"YError":           func(c *Circuit, p float64) { c.YError(p, 0) },
+		"ZError":           func(c *Circuit, p float64) { c.ZError(p, 0) },
+		"PauliChannel1 px": func(c *Circuit, p float64) { c.PauliChannel1(p, 0, 0, 0) },
+		"PauliChannel1 py": func(c *Circuit, p float64) { c.PauliChannel1(0, p, 0, 0) },
+		"PauliChannel1 pz": func(c *Circuit, p float64) { c.PauliChannel1(0, 0, p, 0) },
+	}
+	panics := func(f func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		f()
+		return false
+	}
+	for name, build := range builders {
+		for _, p := range []float64{math.NaN(), -0.2, -5e-324, 1.5, math.Inf(1), math.Inf(-1)} {
+			if !panics(func() { build(NewCircuit(2), p) }) {
+				t.Errorf("%s(%v) accepted", name, p)
+			}
+		}
+		for _, p := range []float64{0, 5e-324, 0.5, 1} {
+			if panics(func() { build(NewCircuit(2), p) }) {
+				t.Errorf("%s(%v) rejected", name, p)
+			}
+		}
+	}
+	if !panics(func() { NewCircuit(1).PauliChannel1(-0.5, 0.7, 0.1, 0) }) {
+		t.Error("PauliChannel1(-0.5, 0.7, 0.1) accepted")
+	}
+}
+
 func TestFrameNoiselessAllQuiet(t *testing.T) {
 	c := NewCircuit(4)
 	c.H(0).CX(0, 1).CX(1, 2).CX(2, 3).M(0, 1, 2, 3)
@@ -314,9 +354,6 @@ func TestIdlePauliChannel(t *testing.T) {
 	_, _, pzLimit := IdlePauliChannel(10, 100, 200)
 	if math.Abs(pzClamped-pzLimit) > 1e-12 {
 		t.Fatal("T2 clamp missing")
-	}
-	if IdleErrorProbability(10, 100, 150) <= 0 {
-		t.Fatal("IdleErrorProbability should be positive")
 	}
 }
 
