@@ -5,11 +5,14 @@ import (
 )
 
 // decodeFuzzGraph builds a matching graph from raw fuzz bytes: a node
-// count, then 3-byte edge records (U, V-or-boundary, observable-mask bits).
-// Every byte string maps to a valid graph, so the fuzzer explores shapes —
-// multi-edges, boundary-heavy nodes, disconnected islands — no generator
-// written by hand would. Up to 255 nodes and 320 edges, so the peel's node
-// and edge bitsets span several 64-bit words.
+// count, then 3-byte edge records (U, V-or-boundary, then the observable
+// mask in bits 0–1 and a self-loop bit). A record with U == V is a
+// self-loop when bit 2 of its third byte is set and a boundary edge
+// otherwise. Every byte string maps to a valid graph, so the fuzzer
+// explores shapes — multi-edges, self-loops, boundary-heavy nodes,
+// disconnected islands — no generator written by hand would. Up to 255
+// nodes and 320 edges, so the peel's node and edge bitsets span several
+// 64-bit words.
 func decodeFuzzGraph(data []byte) (*Graph, []byte) {
 	if len(data) < 1 {
 		return nil, nil
@@ -21,7 +24,7 @@ func decodeFuzzGraph(data []byte) (*Graph, []byte) {
 		u := int(data[0]) % n
 		v := int(data[1]) % (n + 1)
 		e := Edge{U: u, V: v, ObsMask: uint64(data[2] & 3)}
-		if v == n || v == u {
+		if v == n || (v == u && data[2]&4 == 0) {
 			e.V = Boundary
 		}
 		g.Edges = append(g.Edges, e)
@@ -129,6 +132,7 @@ func FuzzUnionFindDecode(f *testing.F) {
 	f.Add([]byte{0})                                  // minimal graph, no edges
 	f.Add([]byte{1, 0, 1, 3, 0, 1, 3, 1, 2, 0, 0xff}) // multi-edges + defects
 	f.Add([]byte{6, 0, 8, 1, 2, 3, 0, 4, 4, 2, 0x55, 0x55})
+	f.Add([]byte{2, 0, 0, 4, 0, 1, 1, 1, 1, 6, 0, 1, 0, 0x03}) // self-loops + parallel edges
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, rest := decodeFuzzGraph(data)

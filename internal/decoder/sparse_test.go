@@ -93,6 +93,29 @@ func randomGraph(rng *splitmix.RNG, nodes, edges int) *Graph {
 	return g
 }
 
+// randomMultiGraph is randomGraph with the shapes Graph accepts but the
+// surface graphs never build: about one edge in four repeats the endpoints
+// of an earlier one (a parallel edge) and about one in seven is a
+// self-loop, which the reference's adjacency lists twice at its node.
+func randomMultiGraph(rng *splitmix.RNG, nodes, edges int) *Graph {
+	g := &Graph{NumNodes: nodes}
+	for i := 0; i < edges; i++ {
+		e := Edge{U: int(rng.Uint64() % uint64(nodes)), V: Boundary, ObsMask: rng.Uint64() & 3}
+		switch x := rng.Float64(); {
+		case x < 0.25 && i > 0:
+			prev := g.Edges[rng.Uint64()%uint64(i)]
+			e.U, e.V = prev.U, prev.V
+		case x < 0.4:
+			e.V = e.U
+		case x < 0.6:
+		default:
+			e.V = int(rng.Uint64() % uint64(nodes))
+		}
+		g.Edges = append(g.Edges, e)
+	}
+	return g
+}
+
 // randomDefectWords fills words with random detector events at roughly the
 // given per-detector probability, allocation-free.
 func randomDefectWords(rng *splitmix.RNG, words []uint64, density int) {
@@ -100,6 +123,21 @@ func randomDefectWords(rng *splitmix.RNG, words []uint64, density int) {
 		w := rng.Uint64()
 		for k := 1; k < density; k++ {
 			w &= rng.Uint64()
+		}
+		words[i] = w
+	}
+}
+
+// bernoulliDefectWords fills words with detector events that fire
+// independently with probability p each, for densities between the powers
+// of two that randomDefectWords draws.
+func bernoulliDefectWords(rng *splitmix.RNG, words []uint64, p float64) {
+	for i := range words {
+		var w uint64
+		for s := 0; s < 64; s++ {
+			if rng.Float64() < p {
+				w |= 1 << uint(s)
+			}
 		}
 		words[i] = w
 	}
@@ -114,7 +152,9 @@ func randomDefectWords(rng *splitmix.RNG, words []uint64, density int) {
 // d=13 surface-code sector: at ~147 defects per shot the peel seeds every
 // tree-edge endpoint and both of its bitsets span many words, a regime the
 // 1-D sector graphs never reach. Its dense reference is slow, so it runs
-// fewer shots.
+// fewer shots. The planar d=5 sector runs at about 6 defects per shot, the
+// density of the surface-d5 benchmark points, and the multigraph holds
+// self-loops and parallel edges.
 func TestSparseDecoderMatchesReference(t *testing.T) {
 	rng := splitmix.New(11)
 	planar := planarGraph(13, 14)
@@ -128,13 +168,16 @@ func TestSparseDecoderMatchesReference(t *testing.T) {
 	graphs := map[string]struct {
 		g     *Graph
 		shots int
+		p     float64 // per-detector defect probability; 0 draws at density 3
 	}{
-		"sector-d5":  {sectorGraph(5, 6), 10000},
-		"sector-d9":  {sectorGraph(9, 10), 10000},
-		"sector-d13": {sectorGraph(13, 14), 10000},
-		"random-32":  {randomGraph(rng, 32, 64), 10000},
-		"random-7":   {randomGraph(rng, 7, 9), 10000},
-		"planar-d13": {planar, planarShots},
+		"sector-d5":  {sectorGraph(5, 6), 10000, 0},
+		"sector-d9":  {sectorGraph(9, 10), 10000, 0},
+		"sector-d13": {sectorGraph(13, 14), 10000, 0},
+		"random-32":  {randomGraph(rng, 32, 64), 10000, 0},
+		"random-7":   {randomGraph(rng, 7, 9), 10000, 0},
+		"planar-d13": {planar, planarShots, 0},
+		"multi-24":   {randomMultiGraph(rng, 24, 60), 10000, 0},
+		"planar-d5":  {planarGraph(5, 6), 10000, 6.0 / 72},
 	}
 	for name, c := range graphs {
 		t.Run(name, func(t *testing.T) {
@@ -145,7 +188,11 @@ func TestSparseDecoderMatchesReference(t *testing.T) {
 			preds := make([]uint64, 64)
 			dense := make([]bool, g.NumNodes)
 			for done := 0; done < c.shots; done += 64 {
-				randomDefectWords(rng, words, 3)
+				if c.p > 0 {
+					bernoulliDefectWords(rng, words, c.p)
+				} else {
+					randomDefectWords(rng, words, 3)
+				}
 				u.DecodeBatch(words, 64, preds)
 				for s := 0; s < 64; s++ {
 					for d := range dense {
@@ -271,3 +318,63 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 // closures draw randomness without capturing a fresh generator (and without
 // any allocation attributable to the run itself).
 var splitmixShared = splitmix.New(1)
+
+// TestNewUnionFindAllocs pins construction cost: NewUnionFind and Clone
+// each make a fixed number of allocations, the same on the d=3 and d=13
+// planar sectors, and a clone shares the adjacency instead of rebuilding
+// it.
+func TestNewUnionFindAllocs(t *testing.T) {
+	for _, d := range []int{3, 13} {
+		g := planarGraph(d, d+1)
+		if n := testing.AllocsPerRun(10, func() { ufSink = NewUnionFind(g) }); n != 7 {
+			t.Errorf("d=%d: NewUnionFind makes %.0f allocations, want 7", d, n)
+		}
+		u := ufSink
+		if n := testing.AllocsPerRun(10, func() { ufSink = u.Clone() }); n != 5 {
+			t.Errorf("d=%d: Clone makes %.0f allocations, want 5", d, n)
+		}
+		if c := ufSink; &c.arcs[0] != &u.arcs[0] || &c.first[0] != &u.first[0] {
+			t.Errorf("d=%d: Clone rebuilt the adjacency", d)
+		}
+	}
+}
+
+// ufSink keeps the decoders built under AllocsPerRun alive.
+var ufSink *UnionFind
+
+// TestEpochWrap moves a decoder that has decoded one shot at epoch 1 to
+// just below 2^30 and decodes across the wrap, where the epoch restarts at
+// 1: the stamps that first shot left would read as current again unless
+// the wrap clears them. The shots just before the wrap carry about one
+// defect each, so they overwrite few of those stamps. Every prediction
+// must match the reference.
+func TestEpochWrap(t *testing.T) {
+	g := planarGraph(5, 6)
+	ref := newRefUnionFind(g)
+	rng := splitmix.New(23)
+	words := make([]uint64, g.NumNodes)
+	preds := make([]uint64, 64)
+	dense := make([]bool, g.NumNodes)
+	for trial := 0; trial < 16; trial++ {
+		u := NewUnionFind(g)
+		batch := func(density, nshots int) {
+			randomDefectWords(rng, words, density)
+			u.DecodeBatch(words, nshots, preds)
+			for s := 0; s < nshots; s++ {
+				for d := range dense {
+					dense[d] = words[d]>>uint(s)&1 == 1
+				}
+				if want := ref.Decode(dense); preds[s] != want {
+					t.Fatalf("trial %d: shot %d of a batch ending at epoch %d: DecodeBatch=%d reference=%d", trial, s, u.epoch, preds[s], want)
+				}
+			}
+		}
+		batch(3, 1)
+		u.epoch = epochWrap - 3
+		batch(6, 2)
+		batch(3, 64) // its first shot wraps to epoch 1
+		if u.epoch != 64 {
+			t.Fatalf("trial %d: epoch %d after the wrap, want 64", trial, u.epoch)
+		}
+	}
+}

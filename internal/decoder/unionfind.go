@@ -2,6 +2,7 @@ package decoder
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"hetarch/internal/obs"
@@ -54,69 +55,99 @@ func (g *Graph) Validate() error {
 // which is what lets the Fig. 6/7 experiments run Monte Carlo at distance
 // 13+ where shots with zero or one defect dominate.
 //
-// Sparsity rests on two mechanisms:
-//
-//   - Epoch-stamped scratch. Every per-decode array (cluster forest,
-//     growth, peel state) carries a generation stamp; "resetting" for the
-//     next shot is a single counter bump, and state is lazily initialized
-//     the first time a node or edge is touched in a given decode. A shot
-//     with d defects therefore costs O(cluster area around the defects),
-//     never O(NumNodes + Edges).
-//   - Arena slices. All transient lists (active roots, odd roots, grown
-//     edges, peel-root bitsets, BFS queue/order) live on the decoder and
-//     are reused across calls, so steady-state decoding performs zero
-//     allocations.
+//   - CSR adjacency. NewUnionFind lays out each node's incident edges
+//     once as (edge, neighbour) int32 arcs in ascending edge order, a
+//     self-loop twice; clones share them read-only, as they share the
+//     Graph.
+//   - Open-vertex chains. A cluster links its members that still have an
+//     arc below full growth into a chain, so a union is an O(1) splice.
+//     A growth pass prunes closed members, then walks the chain up to the
+//     tail it has at that moment, raising each non-full edge one
+//     half-step per arc; chains spliced in mid-pass wait for the next
+//     pass. So a pass raises every non-full edge incident to the cluster,
+//     as it stood when the pass began, by the number of its endpoints
+//     inside it, capped at full. Which edges end up full, the peel's only
+//     input, does not depend on the visiting order, so the predictions
+//     equal those of the historical loop over merged per-cluster edge
+//     lists (the reference in the tests) bit for bit.
+//   - Epoch stamps. A node's state sits in one struct stamped with the
+//     decode generation, and an edge's state is one word epoch<<2|growth,
+//     full exactly when it equals epoch<<2|2. Resetting for the next shot
+//     is a counter bump, so a shot costs O(cluster area around its
+//     defects), never O(NumNodes + Edges). At epoch 2^30 every stamp is
+//     cleared and the epoch restarts at 1.
+//   - Arena slices. The transient lists and the peel-root bitsets live on
+//     the decoder and are reused across calls, so steady-state decoding
+//     performs zero allocations.
 //
 // The decoder is reusable: Decode/DecodeBatch may be called repeatedly
 // with different defect patterns. It is not safe for concurrent use; mc
 // workers each hold a Clone.
 type UnionFind struct {
 	g *Graph
-	// adjacency: per node, incident edge indices (boundary edges included on
-	// their real endpoint)
-	adj [][]int
+	// node v's arcs are arcs[first[v]:first[v+1]]; shared by clones
+	first []int32
+	arcs  []ufArc
 
-	// epoch is the decode generation. A node or edge whose stamp differs
-	// from it is in its pristine start-of-decode state; touchNode/touchEdge
-	// initialize lazily on first contact.
-	epoch     uint64
-	nodeEpoch []uint64
-	edgeEpoch []uint64
-
-	// cluster state, valid where nodeEpoch/edgeEpoch == epoch
-	parent   []int
-	size     []int
-	parity   []int  // defect count mod 2 per cluster root
-	boundary []bool // cluster touches the boundary
-	growth   []int  // per-edge growth 0..2; 2 means on the cluster tree
-	// edgeList[root] holds the indices of edges incident to the cluster;
-	// merged on union so growth never rescans the whole graph. Slots keep
-	// their capacity across decodes.
-	edgeList [][]int
+	// epoch is the decode generation, in [1, epochWrap). A node or peel
+	// slot whose stamp differs from it, or an edge whose word does not
+	// carry it, is in its pristine start-of-decode state.
+	epoch uint32
+	nodes []ufNode
+	grown []uint32 // per edge: epoch<<2 | growth, growth 2 meaning full
+	peels []peelNode
 
 	// growth-phase arenas
-	defects   []int    // scratch defect list for the dense entry point
-	active    []int    // cluster representatives, first-defect order
-	oddRoots  []int    // odd, boundary-free roots for the current round
-	treeEdges []int    // edges grown to 2 this decode, in growth order
-	seenGen   uint64   // generation for seenStamp
-	seenStamp []uint64 // per-node dedup stamp for odd/active recomputation
+	defects  []int32 // scratch defect list for the dense entry point
+	active   []int32 // cluster representatives, first-defect order
+	oddRoots []int32 // odd, boundary-free roots for the current round
+	seenGen  uint32  // dedup generation for ufNode.seen, reset per decode
 
-	// peel arenas, valid where peelEpoch == epoch
-	peelEpoch    []uint64
-	visited      []bool
-	defNow       []bool
-	parentEdge   []int
-	boundaryEdge []int
-	seedEdges    []uint64 // bitset of grown boundary edges; zero between decodes
-	rootNodes    []uint64 // bitset of candidate BFS roots; zero between decodes
-	order        []int
-	queue        []int // BFS ring: qHead indexes the next pop, so the arena's
-	qHead        int   // backing array is reused instead of sliced away
+	// peel arenas. Growth marks the endpoints of every edge it fills in
+	// rootNodes and grown boundary edges in seedEdges; the peel reads both
+	// back in ascending order and zeroes them, so they are empty between
+	// decodes.
+	seedEdges []uint64
+	rootNodes []uint64
+	queue     []int32 // BFS ring and visit order: qHead indexes the next pop
+	qHead     int
 
 	// batchDefects[s] is shot s's defect list, rebuilt by DecodeBatch's
 	// one-pass transpose of the packed detector words.
-	batchDefects [64][]int
+	batchDefects [64][]int32
+}
+
+// epochWrap bounds the decode generation so that an edge word
+// epoch<<2|growth fits in 32 bits.
+const epochWrap = 1 << 30
+
+// ufArc is one entry of a node's adjacency: an incident edge and the node
+// at its other end (Boundary for a boundary edge, the node itself for a
+// self-loop).
+type ufArc struct {
+	edge, nbr int32
+}
+
+// ufNode is a node's growth-phase state, valid where epoch is the
+// decoder's. head and tail are meaningful on cluster roots only.
+type ufNode struct {
+	epoch            uint32
+	parent, size     int32
+	open             int32  // arcs whose edge is not yet full
+	next             int32  // next vertex on the open-vertex chain, or -1
+	head, tail       int32  // the cluster's chain, -1 when it is empty
+	seen             uint32 // last seenGen that listed this root
+	parity, boundary bool
+}
+
+// peelNode is a node's peel-phase state, valid where epoch is the
+// decoder's. edge is the tree edge to its BFS parent, or the grown
+// boundary edge of a boundary-seeded root (parent -1), or -1 for any
+// other root.
+type peelNode struct {
+	epoch           uint32
+	edge, parent    int32
+	visited, defect bool
 }
 
 // NewUnionFind builds a decoder for the graph.
@@ -124,109 +155,112 @@ func NewUnionFind(g *Graph) *UnionFind {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	u := &UnionFind{g: g}
-	u.adj = make([][]int, g.NumNodes)
-	for i, e := range g.Edges {
-		u.adj[e.U] = append(u.adj[e.U], i)
+	if g.NumNodes >= math.MaxInt32 || len(g.Edges) > math.MaxInt32/2 {
+		panic("decoder: graph too large for int32 indices")
+	}
+	// Count each node's arcs into first[v+1] and prefix-sum them, fill the
+	// arcs in edge order with first[v] as node v's write cursor, then
+	// shift the cursors, which end at the next node's start, back by one.
+	first := make([]int32, g.NumNodes+1)
+	for _, e := range g.Edges {
+		first[e.U+1]++
 		if e.V != Boundary {
-			u.adj[e.V] = append(u.adj[e.V], i)
+			first[e.V+1]++
 		}
 	}
-	u.nodeEpoch = make([]uint64, g.NumNodes)
-	u.edgeEpoch = make([]uint64, len(g.Edges))
-	u.parent = make([]int, g.NumNodes)
-	u.size = make([]int, g.NumNodes)
-	u.parity = make([]int, g.NumNodes)
-	u.boundary = make([]bool, g.NumNodes)
-	u.growth = make([]int, len(g.Edges))
-	u.edgeList = make([][]int, g.NumNodes)
-	u.seenStamp = make([]uint64, g.NumNodes)
-	u.peelEpoch = make([]uint64, g.NumNodes)
-	u.visited = make([]bool, g.NumNodes)
-	u.defNow = make([]bool, g.NumNodes)
-	u.parentEdge = make([]int, g.NumNodes)
-	u.boundaryEdge = make([]int, g.NumNodes)
-	u.seedEdges = make([]uint64, (len(g.Edges)+63)/64)
-	u.rootNodes = make([]uint64, (g.NumNodes+63)/64)
-	return u
+	for v := 0; v < g.NumNodes; v++ {
+		first[v+1] += first[v]
+	}
+	arcs := make([]ufArc, first[g.NumNodes])
+	for i, e := range g.Edges {
+		arcs[first[e.U]] = ufArc{edge: int32(i), nbr: int32(e.V)}
+		first[e.U]++
+		if e.V != Boundary {
+			arcs[first[e.V]] = ufArc{edge: int32(i), nbr: int32(e.U)}
+			first[e.V]++
+		}
+	}
+	copy(first[1:], first[:g.NumNodes])
+	first[0] = 0
+	return newUnionFind(g, first, arcs)
 }
 
-// Clone returns an independent decoder over the same (shared, read-only)
-// graph. Decode mutates per-call scratch (cluster forest, growth fronts,
-// arenas), so each mc worker needs its own instance; a fresh build is
-// equivalent to a deep copy because all scratch is epoch-invalidated.
+// newUnionFind allocates a decoder's scratch around a shared adjacency.
+func newUnionFind(g *Graph, first []int32, arcs []ufArc) *UnionFind {
+	edgeWords := (len(g.Edges) + 63) / 64
+	bitsets := make([]uint64, edgeWords+(g.NumNodes+63)/64)
+	return &UnionFind{
+		g:         g,
+		first:     first,
+		arcs:      arcs,
+		nodes:     make([]ufNode, g.NumNodes),
+		grown:     make([]uint32, len(g.Edges)),
+		peels:     make([]peelNode, g.NumNodes),
+		seedEdges: bitsets[:edgeWords:edgeWords],
+		rootNodes: bitsets[edgeWords:],
+	}
+}
+
+// Clone returns an independent decoder over the same graph. The graph and
+// the adjacency are shared read-only; the clone allocates only its own
+// scratch, which Decode mutates, so each mc worker needs its own.
 func (u *UnionFind) Clone() *UnionFind {
-	return NewUnionFind(u.g)
+	return newUnionFind(u.g, u.first, u.arcs)
 }
 
-// touchNode lazily initializes node i's cluster state for the current
-// decode: a singleton, even-parity, boundary-free cluster whose edge list
-// is its adjacency (the slot's capacity is recycled across decodes).
-func (u *UnionFind) touchNode(i int) {
-	if u.nodeEpoch[i] == u.epoch {
-		return
+// touch lazily initializes node i's state for the current decode: a
+// singleton, even-parity, boundary-free cluster whose chain holds i.
+func (u *UnionFind) touch(i int32) *ufNode {
+	n := &u.nodes[i]
+	if n.epoch != u.epoch {
+		*n = ufNode{epoch: u.epoch, parent: i, size: 1, open: u.first[i+1] - u.first[i], next: -1, head: i, tail: i}
 	}
-	u.nodeEpoch[i] = u.epoch
-	u.parent[i] = i
-	u.size[i] = 1
-	u.parity[i] = 0
-	u.boundary[i] = false
-	u.edgeList[i] = append(u.edgeList[i][:0], u.adj[i]...)
-}
-
-// touchEdge lazily initializes edge ei's growth state for the current
-// decode.
-func (u *UnionFind) touchEdge(ei int) {
-	if u.edgeEpoch[ei] == u.epoch {
-		return
-	}
-	u.edgeEpoch[ei] = u.epoch
-	u.growth[ei] = 0
-}
-
-// grownFull reports whether edge ei has reached full growth (is on a
-// cluster tree) this decode, without stamping untouched edges.
-func (u *UnionFind) grownFull(ei int) bool {
-	return u.edgeEpoch[ei] == u.epoch && u.growth[ei] >= 2
+	return n
 }
 
 // touchPeel lazily initializes node i's peel-phase state.
-func (u *UnionFind) touchPeel(i int) {
-	if u.peelEpoch[i] == u.epoch {
-		return
+func (u *UnionFind) touchPeel(i int32) *peelNode {
+	p := &u.peels[i]
+	if p.epoch != u.epoch {
+		*p = peelNode{epoch: u.epoch, edge: -1, parent: -1}
 	}
-	u.peelEpoch[i] = u.epoch
-	u.visited[i] = false
-	u.defNow[i] = false
-	u.parentEdge[i] = -1
-	u.boundaryEdge[i] = -1
+	return p
 }
 
-func (u *UnionFind) find(x int) int {
-	u.touchNode(x)
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
+// find returns the root of touched node x's cluster, halving the path.
+func (u *UnionFind) find(x int32) int32 {
+	n := u.nodes
+	for n[x].parent != x {
+		n[x].parent = n[n[x].parent].parent
+		x = n[x].parent
 	}
 	return x
 }
 
-// union merges the clusters of a and b, returning the new root.
-func (u *UnionFind) union(a, b int) int {
+// union merges the clusters of touched nodes a and b, splicing the
+// smaller cluster's chain after the larger one's tail.
+func (u *UnionFind) union(a, b int32) {
 	ra, rb := u.find(a), u.find(b)
 	if ra == rb {
-		return ra
+		return
 	}
-	if u.size[ra] < u.size[rb] {
+	n := u.nodes
+	if n[ra].size < n[rb].size {
 		ra, rb = rb, ra
 	}
-	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
-	u.parity[ra] = (u.parity[ra] + u.parity[rb]) % 2
-	u.boundary[ra] = u.boundary[ra] || u.boundary[rb]
-	u.edgeList[ra] = append(u.edgeList[ra], u.edgeList[rb]...)
-	u.edgeList[rb] = u.edgeList[rb][:0] // keep the slot's capacity
-	return ra
+	big, small := &n[ra], &n[rb]
+	small.parent = ra
+	big.size += small.size
+	big.parity = big.parity != small.parity
+	big.boundary = big.boundary || small.boundary
+	if small.head >= 0 {
+		if big.head < 0 {
+			big.head = small.head
+		} else {
+			n[big.tail].next = small.head
+		}
+		big.tail = small.tail
+	}
 }
 
 // Decode takes the dense defect pattern (one bool per node) and returns
@@ -242,7 +276,7 @@ func (u *UnionFind) Decode(defects []bool) uint64 {
 	u.defects = u.defects[:0]
 	for i, d := range defects {
 		if d {
-			u.defects = append(u.defects, i)
+			u.defects = append(u.defects, int32(i))
 		}
 	}
 	return u.decode(u.defects)
@@ -276,7 +310,7 @@ func (u *UnionFind) DecodeBatch(words []uint64, nshots int, preds []uint64) {
 		for w != 0 {
 			s := bits.TrailingZeros64(w)
 			w &= w - 1
-			u.batchDefects[s] = append(u.batchDefects[s], d)
+			u.batchDefects[s] = append(u.batchDefects[s], int32(d))
 		}
 	}
 	for s := 0; s < nshots; s++ {
@@ -288,34 +322,40 @@ func (u *UnionFind) DecodeBatch(words []uint64, nshots int, preds []uint64) {
 // defect node indices. All scratch is epoch-stamped or arena-backed, so a
 // steady-state call allocates nothing and touches only the neighborhoods
 // the defects grow into.
-func (u *UnionFind) decode(defects []int) uint64 {
+func (u *UnionFind) decode(defects []int32) uint64 {
 	ufDecodes.Inc()
 	ufDefects.Observe(int64(len(defects)))
 	u.epoch++
+	if u.epoch == epochWrap {
+		clear(u.nodes)
+		clear(u.grown)
+		clear(u.peels)
+		u.epoch = 1
+	}
+	u.seenGen = 0
 
 	// Seed the defect clusters. Active clusters are represented in
 	// first-defect order, the order the growth loop visits them in.
 	u.active = u.active[:0]
-	u.treeEdges = u.treeEdges[:0]
 	for _, i := range defects {
-		u.touchNode(i)
-		u.parity[i] = 1
+		u.touch(i).parity = true
 		u.active = append(u.active, i)
 	}
 
-	// Growth loop: each iteration grows every boundary edge of every odd,
-	// boundary-free cluster by one half-step; fully-grown edges merge
-	// clusters.
+	// Growth loop: each round runs one pass over every cluster that was
+	// odd and boundary-free when the round began, in active order; a
+	// cluster merged into one grown earlier in the round is grown again.
 	for {
 		u.oddRoots = u.oddRoots[:0]
 		u.seenGen++
 		for _, a := range u.active {
 			r := u.find(a)
-			if u.seenStamp[r] == u.seenGen {
+			n := &u.nodes[r]
+			if n.seen == u.seenGen {
 				continue
 			}
-			u.seenStamp[r] = u.seenGen
-			if u.parity[r] == 1 && !u.boundary[r] {
+			n.seen = u.seenGen
+			if n.parity && !n.boundary {
 				u.oddRoots = append(u.oddRoots, r)
 			}
 		}
@@ -323,52 +363,9 @@ func (u *UnionFind) decode(defects []int) uint64 {
 			break
 		}
 		progress := false
-		for _, root := range u.oddRoots {
-			root = u.find(root) // may have been merged earlier this round
-			// Grow the cluster's incident edges. The slice header is
-			// snapshotted: edges appended by unions during this pass are
-			// grown in a later round, matching the historical behavior.
-			list := u.edgeList[root]
-			for _, ei := range list {
-				u.touchEdge(ei)
-				if u.growth[ei] >= 2 {
-					continue
-				}
-				u.growth[ei]++
+		for _, r := range u.oddRoots {
+			if u.grow(u.find(r)) {
 				progress = true
-				if u.growth[ei] == 2 {
-					e := u.g.Edges[ei]
-					u.treeEdges = append(u.treeEdges, ei)
-					if e.V == Boundary {
-						r := u.find(e.U)
-						u.boundary[r] = true
-					} else {
-						newRoot := u.union(e.U, e.V)
-						if newRoot != root {
-							// The cluster was absorbed into a larger one;
-							// its remaining edges were already appended to
-							// the new root's list by union.
-							root = newRoot
-						}
-					}
-				}
-			}
-			// Compact fully-grown edges out of the surviving root's list so
-			// later rounds don't rescan them. Entries an interleaved union
-			// duplicated are left in place: a duplicate's second visit falls
-			// into the growth>=2 skip, so dropping only grown edges is
-			// behavior-preserving.
-			if u.find(root) == root {
-				cur := u.edgeList[root]
-				w := 0
-				for _, ei := range cur {
-					if u.grownFull(ei) {
-						continue
-					}
-					cur[w] = ei
-					w++
-				}
-				u.edgeList[root] = cur[:w]
 			}
 		}
 		if !progress {
@@ -382,8 +379,8 @@ func (u *UnionFind) decode(defects []int) uint64 {
 		next := u.active[:0]
 		for _, a := range u.active {
 			r := u.find(a)
-			if u.seenStamp[r] != u.seenGen {
-				u.seenStamp[r] = u.seenGen
+			if n := &u.nodes[r]; n.seen != u.seenGen {
+				n.seen = u.seenGen
 				next = append(next, r)
 			}
 		}
@@ -391,6 +388,75 @@ func (u *UnionFind) decode(defects []int) uint64 {
 	}
 
 	return u.peel(defects)
+}
+
+// grow runs one growth pass over the cluster rooted at r and reports
+// whether any edge grew. It prunes closed vertices from the chain, then
+// raises each non-full edge by one half-step per arc of the remaining
+// vertices, up to the tail the chain has now: unions during the pass
+// splice chains after that tail, or splice this chain after another's
+// with its own links intact.
+func (u *UnionFind) grow(r int32) bool {
+	v, end := u.prune(r)
+	if v < 0 {
+		return false
+	}
+	half, full := u.epoch<<2|1, u.epoch<<2|2
+	grew := false
+	for {
+		for _, a := range u.arcs[u.first[v]:u.first[v+1]] {
+			switch w := &u.grown[a.edge]; *w {
+			case full:
+				continue
+			case half:
+				*w = full
+				u.fill(v, a)
+			default:
+				*w = half
+			}
+			grew = true
+		}
+		if v == end {
+			return grew
+		}
+		v = u.nodes[v].next
+	}
+}
+
+// prune unlinks the vertices of root r's chain that have no open arc left
+// and returns the chain's ends, -1 when it is empty.
+func (u *UnionFind) prune(r int32) (head, tail int32) {
+	n := u.nodes
+	prev := int32(-1)
+	for v := n[r].head; v >= 0; v = n[v].next {
+		switch {
+		case n[v].open > 0:
+			prev = v
+		case prev < 0:
+			n[r].head = n[v].next
+		default:
+			n[prev].next = n[v].next
+		}
+	}
+	n[r].tail = prev
+	return n[r].head, prev
+}
+
+// fill handles arc a of vertex v reaching full growth: both endpoints
+// lose an open arc and become peel roots, and the edge merges their
+// clusters or, for a boundary edge, marks v's cluster as touching the
+// boundary and seeds the peel there.
+func (u *UnionFind) fill(v int32, a ufArc) {
+	u.nodes[v].open--
+	setBit(u.rootNodes, int(v))
+	if a.nbr == Boundary {
+		setBit(u.seedEdges, int(a.edge))
+		u.nodes[u.find(v)].boundary = true
+		return
+	}
+	u.touch(a.nbr).open--
+	setBit(u.rootNodes, int(a.nbr))
+	u.union(v, a.nbr)
 }
 
 // setBit marks index i in the bitset s.
@@ -402,10 +468,10 @@ func setBit(s []uint64, i int) {
 // XOR of the observable masks of the chosen edges. Only nodes reachable
 // from grown edges or defects are visited; everything else is untouched
 // scratch from some earlier epoch.
-func (u *UnionFind) peel(defects []int) uint64 {
+func (u *UnionFind) peel(defects []int32) uint64 {
 	for _, d := range defects {
-		u.touchPeel(d)
-		u.defNow[d] = true
+		u.touchPeel(d).defect = true
+		setBit(u.rootNodes, int(d))
 	}
 
 	// Build BFS forests over fully-grown edges. Roots are nodes adjacent to
@@ -414,30 +480,16 @@ func (u *UnionFind) peel(defects []int) uint64 {
 	// seed are marked in a bitset and read back word by word in ascending
 	// index order (zeroing each word as it is read), so the traversal
 	// matches a dense index-order scan.
-	u.order = u.order[:0]
 	u.queue = u.queue[:0]
 	u.qHead = 0
-	for _, ei := range u.treeEdges {
-		e := u.g.Edges[ei]
-		setBit(u.rootNodes, e.U)
-		if e.V == Boundary {
-			setBit(u.seedEdges, ei)
-		} else {
-			setBit(u.rootNodes, e.V)
-		}
-	}
-	for _, d := range defects {
-		setBit(u.rootNodes, d)
-	}
 	for wi, w := range u.seedEdges {
 		u.seedEdges[wi] = 0
 		for ; w != 0; w &= w - 1 {
 			ei := wi<<6 | bits.TrailingZeros64(w)
-			v := u.g.Edges[ei].U
-			u.touchPeel(v)
-			if !u.visited[v] {
-				u.visited[v] = true
-				u.boundaryEdge[v] = ei
+			v := int32(u.g.Edges[ei].U)
+			if p := u.touchPeel(v); !p.visited {
+				p.visited = true
+				p.edge = int32(ei)
 				u.queue = append(u.queue, v)
 			}
 		}
@@ -446,10 +498,9 @@ func (u *UnionFind) peel(defects []int) uint64 {
 	for wi, w := range u.rootNodes {
 		u.rootNodes[wi] = 0
 		for ; w != 0; w &= w - 1 {
-			start := wi<<6 | bits.TrailingZeros64(w)
-			u.touchPeel(start)
-			if !u.visited[start] {
-				u.visited[start] = true
+			start := int32(wi<<6 | bits.TrailingZeros64(w))
+			if p := u.touchPeel(start); !p.visited {
+				p.visited = true
 				u.queue = append(u.queue, start)
 				u.bfs()
 			}
@@ -458,59 +509,43 @@ func (u *UnionFind) peel(defects []int) uint64 {
 
 	// Peel in reverse BFS order: leaves first. A defect at a node is pushed
 	// along its parent edge (flipping the correction) onto its parent; roots
-	// with boundary edges drain into the boundary.
+	// with boundary edges drain into the boundary. A defect stuck at a root
+	// with no boundary edge means the cluster had odd parity without
+	// boundary contact, which the growth phase prevents; leave it (decoder
+	// failure surfaces as a logical error).
 	var obsMask uint64
-	for i := len(u.order) - 1; i >= 0; i-- {
-		v := u.order[i]
-		if !u.defNow[v] {
+	for i := len(u.queue) - 1; i >= 0; i-- {
+		p := &u.peels[u.queue[i]]
+		if !p.defect || p.edge < 0 {
 			continue
 		}
-		if pe := u.parentEdge[v]; pe >= 0 {
-			e := u.g.Edges[pe]
-			obsMask ^= e.ObsMask
-			other := e.U
-			if other == v {
-				other = e.V
-			}
-			u.defNow[v] = false
-			u.defNow[other] = !u.defNow[other]
-		} else if be := u.boundaryEdge[v]; be >= 0 {
-			obsMask ^= u.g.Edges[be].ObsMask
-			u.defNow[v] = false
+		obsMask ^= u.g.Edges[p.edge].ObsMask
+		p.defect = false
+		if p.parent >= 0 {
+			q := &u.peels[p.parent]
+			q.defect = !q.defect
 		}
-		// A defect stuck at a root with no boundary edge means the cluster
-		// had odd parity without boundary contact, which the growth phase
-		// prevents; leave it (decoder failure surfaces as a logical error).
 	}
 	return obsMask
 }
 
-// bfs drains the queue over fully-grown edges, appending visits to order
-// and recording each node's tree parent edge.
+// bfs drains the queue over fully-grown edges, recording each newly
+// reached node's tree edge and parent. The queue doubles as the visit
+// order.
 func (u *UnionFind) bfs() {
+	full := u.epoch<<2 | 2
 	for u.qHead < len(u.queue) {
 		v := u.queue[u.qHead]
 		u.qHead++
-		u.order = append(u.order, v)
-		for _, ei := range u.adj[v] {
-			if !u.grownFull(ei) {
+		for _, a := range u.arcs[u.first[v]:u.first[v+1]] {
+			if a.nbr == Boundary || u.grown[a.edge] != full {
 				continue
 			}
-			e := u.g.Edges[ei]
-			var w int
-			switch {
-			case e.V == Boundary:
-				continue
-			case e.U == v:
-				w = e.V
-			default:
-				w = e.U
-			}
-			u.touchPeel(w)
-			if !u.visited[w] {
-				u.visited[w] = true
-				u.parentEdge[w] = ei
-				u.queue = append(u.queue, w)
+			if p := u.touchPeel(a.nbr); !p.visited {
+				p.visited = true
+				p.edge = a.edge
+				p.parent = v
+				u.queue = append(u.queue, a.nbr)
 			}
 		}
 	}
