@@ -102,12 +102,12 @@ func randomMultiGraph(rng *splitmix.RNG, nodes, edges int) *Graph {
 	for i := 0; i < edges; i++ {
 		e := Edge{U: int(rng.Uint64() % uint64(nodes)), V: Boundary, ObsMask: rng.Uint64() & 3}
 		switch x := rng.Float64(); {
-		case x < 0.25 && i > 0:
+		case x < 0.25 && i > 0: // parallel to an earlier edge
 			prev := g.Edges[rng.Uint64()%uint64(i)]
 			e.U, e.V = prev.U, prev.V
-		case x < 0.4:
+		case x < 0.4: // self-loop
 			e.V = e.U
-		case x < 0.6:
+		case x < 0.6: // boundary edge
 		default:
 			e.V = int(rng.Uint64() % uint64(nodes))
 		}
