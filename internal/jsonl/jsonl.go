@@ -7,7 +7,9 @@
 //
 //   - A record is one JSON value plus '\n', written by a single write(2)
 //     on an O_APPEND descriptor, so handles appending from several
-//     goroutines or processes interleave whole lines.
+//     goroutines or processes interleave whole lines. AppendLine is that
+//     write for a line the caller encoded itself; Append marshals a value
+//     and writes it through AppendLine.
 //   - A process killed mid-append leaves at most one partial last line,
 //     the torn tail. Split drops and reports it; a last line that is
 //     complete JSON and lost only its newline is kept as a record.
@@ -25,6 +27,7 @@ package jsonl
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 )
@@ -50,11 +53,13 @@ func Split(data []byte) (lines [][]byte, torn []byte) {
 	return lines, nil
 }
 
+var errNotLine = errors.New("jsonl: AppendLine takes exactly one non-empty, newline-terminated line")
+
 // Appender appends records to a JSONL file. It is not safe for concurrent
 // use; its owner serializes the calls.
 type Appender struct {
 	f   *os.File
-	enc *json.Encoder
+	err error // sticky: the first failed write
 }
 
 // Open opens path for appending, creating it if absent. When the file is
@@ -70,7 +75,7 @@ func Open(path string) (a *Appender, healed bool, err error) {
 		f.Close()
 		return nil, false, err
 	}
-	return &Appender{f: f, enc: json.NewEncoder(f)}, healed, nil
+	return &Appender{f: f}, healed, nil
 }
 
 func heal(f *os.File) (bool, error) {
@@ -89,11 +94,34 @@ func heal(f *os.File) (bool, error) {
 	return true, err
 }
 
-// Append writes v as one line with a single json.Encoder.Encode, hence a
-// single write(2), and does not fsync. After a failed write every later
-// Append returns the same error: the failed write may have left a partial
-// line, which only a fresh Open heals.
-func (a *Appender) Append(v any) error { return a.enc.Encode(v) }
+// Append writes v, marshaled by json.Marshal, as one line through
+// AppendLine.
+func (a *Appender) Append(v any) error {
+	line, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return a.AppendLine(append(line, '\n'))
+}
+
+// AppendLine writes line, which must be exactly one non-empty line ending
+// in its only '\n', with a single write(2), and does not fsync. After a
+// failed write every later AppendLine and Append returns the same error:
+// the failed write may have left a partial line, which only a fresh Open
+// heals. A refused line writes nothing and is not sticky.
+func (a *Appender) AppendLine(line []byte) error {
+	if a.err != nil {
+		return a.err
+	}
+	if n := len(line); n < 2 || line[n-1] != '\n' || bytes.IndexByte(line[:n-1], '\n') >= 0 {
+		return errNotLine
+	}
+	if _, err := a.f.Write(line); err != nil {
+		a.err = err
+		return err
+	}
+	return nil
+}
 
 // Sync commits the records appended so far to stable storage.
 func (a *Appender) Sync() error { return a.f.Sync() }

@@ -142,6 +142,44 @@ func TestConcurrentHandlesTearNoLine(t *testing.T) {
 	}
 }
 
+// TestAppendLine: AppendLine writes exactly one newline-terminated line
+// and refuses anything else without writing; after a failed write every
+// later AppendLine and Append returns that write's error.
+func TestAppendLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	a, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"", "\n", recA, recA + "\n" + recB + "\n", "\n" + recA + "\n"} {
+		if err := a.AppendLine([]byte(bad)); err == nil {
+			t.Errorf("AppendLine(%q) succeeded", bad)
+		}
+	}
+	if err := a.AppendLine([]byte(recA + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append(map[string]any{"n": 2, "type": "b"}); err != nil {
+		t.Fatal(err)
+	}
+	want := recA + "\n" + `{"n":2,"type":"b"}` + "\n"
+	if got, err := os.ReadFile(path); err != nil || string(got) != want {
+		t.Fatalf("file holds %q (%v), want %q", got, err, want)
+	}
+
+	a.f.Close() // the next write fails
+	first := a.AppendLine([]byte(recA + "\n"))
+	if first == nil {
+		t.Fatal("AppendLine on a closed file succeeded")
+	}
+	if err := a.Append(map[string]int{"n": 3}); err != first {
+		t.Fatalf("Append after a failed write returned %v, want the sticky %v", err, first)
+	}
+	if err := a.AppendLine([]byte(recB + "\n")); err != first {
+		t.Fatalf("AppendLine after a failed write returned %v, want the sticky %v", err, first)
+	}
+}
+
 func TestWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")

@@ -38,6 +38,7 @@ type Injector struct {
 	latency     time.Duration
 	cancelAfter int
 	cancel      context.CancelFunc
+	cancelled   chan struct{} // closed once cancel has returned
 	completed   int
 	injected    int
 }
@@ -92,16 +93,22 @@ func (in *Injector) WithLatency(d time.Duration) *Injector {
 }
 
 // CancelAfter calls cancel exactly once, when the k-th shard completes,
-// simulating a kill at a shard boundary. With a single worker the
-// completed set is exactly the first k shards; with more workers,
-// in-flight shards may also finish. Firing once matters when cancel
-// raises a real signal: a second SIGINT landing after the interrupted run
-// has restored default signal handling would kill the process.
+// simulating a kill at a shard boundary. From the k-th completion until
+// cancel returns, every shard attempt waits in BeforeShard, so a slow
+// cancel cannot let the other workers finish the run. With a single
+// worker the completed set is exactly the first k shards. With w workers
+// and a cancel that cancels the run's context before returning, at most
+// k + 2(w-1) shards complete: each other worker finishes the shard it was
+// running and at most the one it was waiting to start. Firing once
+// matters when cancel raises a real signal: a second SIGINT landing after
+// the interrupted run has restored default signal handling would kill the
+// process.
 func (in *Injector) CancelAfter(k int, cancel context.CancelFunc) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.cancelAfter = k
 	in.cancel = cancel
+	in.cancelled = make(chan struct{})
 	return in
 }
 
@@ -120,8 +127,9 @@ func (in *Injector) CompletedShards() int {
 	return in.completed
 }
 
-// BeforeShard implements mc.FaultInjector: it sleeps the configured
-// latency, then panics if the shard still has injected faults pending.
+// BeforeShard implements mc.FaultInjector: once the cancellation has
+// fired it waits for cancel to return, then it sleeps the configured
+// latency and panics if the shard still has injected faults pending.
 func (in *Injector) BeforeShard(sh mc.Shard, attempt int) {
 	in.mu.Lock()
 	doPanic := false
@@ -131,7 +139,14 @@ func (in *Injector) BeforeShard(sh mc.Shard, attempt int) {
 		doPanic = true
 	}
 	d := in.latency
+	var cancelled chan struct{}
+	if in.firing() {
+		cancelled = in.cancelled
+	}
 	in.mu.Unlock()
+	if cancelled != nil {
+		<-cancelled
+	}
 	if d > 0 {
 		time.Sleep(d)
 	}
@@ -141,14 +156,22 @@ func (in *Injector) BeforeShard(sh mc.Shard, attempt int) {
 }
 
 // ShardDone implements mc.FaultInjector: it counts the completion and
-// fires the configured cancellation when the threshold is reached.
+// fires the configured cancellation when the threshold is reached,
+// releasing the attempts BeforeShard holds once cancel returns.
 func (in *Injector) ShardDone(mc.Shard) {
 	in.mu.Lock()
 	in.completed++
-	fire := in.cancel != nil && in.cancelAfter > 0 && in.completed == in.cancelAfter
-	cancel := in.cancel
+	fire := in.firing() && in.completed == in.cancelAfter
+	cancel, cancelled := in.cancel, in.cancelled
 	in.mu.Unlock()
 	if fire {
 		cancel()
+		close(cancelled)
 	}
+}
+
+// firing reports whether the configured cancellation has been reached.
+// The caller holds in.mu.
+func (in *Injector) firing() bool {
+	return in.cancel != nil && in.cancelAfter > 0 && in.completed >= in.cancelAfter
 }

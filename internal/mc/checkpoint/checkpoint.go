@@ -99,7 +99,8 @@ func compatible(prev, cur Meta) error {
 	return nil
 }
 
-// shardRecord is one completed shard on disk.
+// shardRecord is one completed shard on disk. Record writes it as a
+// canonical line (codec.go); load reads any JSON spelling of it.
 type shardRecord struct {
 	Type      string `json:"type"` // "shard"
 	Run       int    `json:"run"`
@@ -128,6 +129,7 @@ type entryVal struct {
 type File struct {
 	mu       sync.Mutex
 	a        *jsonl.Appender
+	line     []byte // Record's line buffer, reused under mu
 	meta     Meta
 	done     map[entryKey]entryVal
 	resumed  int
@@ -165,7 +167,7 @@ func open(path string, meta Meta) (*File, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	lines, torn := jsonl.Split(data)
-	cf := &File{meta: meta, done: map[entryKey]entryVal{}}
+	cf := &File{meta: meta, done: make(map[entryKey]entryVal, len(lines))}
 	if len(lines) > 0 {
 		if err := cf.load(path, lines); err != nil {
 			return nil, err
@@ -195,7 +197,11 @@ func open(path string, meta Meta) (*File, error) {
 }
 
 // load validates the header line against the run in f.meta and replays
-// the shard records, adopting the file's own meta.
+// the shard records, adopting the file's own meta. A canonical shard line,
+// the only kind Record writes, is parsed without allocating; every other
+// line goes through json.Unmarshal, so a record spelled differently (by
+// hand, or by a future writer) loads as it always has, a line of another
+// type is skipped and a malformed one is refused.
 func (f *File) load(path string, lines [][]byte) error {
 	var prev Meta
 	if err := json.Unmarshal(lines[0], &prev); err != nil || prev.Type != "checkpoint" {
@@ -205,12 +211,18 @@ func (f *File) load(path string, lines [][]byte) error {
 		return fmt.Errorf("checkpoint %s was written by a different run (%v); delete it or rerun with matching flags", path, err)
 	}
 	for i, raw := range lines[1:] {
-		var rec shardRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("checkpoint %s: record %d: %w", path, i+2, err)
-		}
-		if rec.Type != "shard" {
-			continue // forward compatibility
+		rec, ok := parseShard(raw)
+		if !ok {
+			// Unmarshal into its own variable: &rec would move rec to the
+			// heap for every line.
+			var slow shardRecord
+			if err := json.Unmarshal(raw, &slow); err != nil {
+				return fmt.Errorf("checkpoint %s: record %d: %w", path, i+2, err)
+			}
+			if slow.Type != "shard" {
+				continue // forward compatibility
+			}
+			rec = slow
 		}
 		k := entryKey{mc.RunKey{Run: rec.Run, Shots: rec.RunShots, Seed: rec.RunSeed, ShardSize: rec.ShardSize}, rec.Shard}
 		f.done[k] = entryVal{seed: rec.ShardSeed, tally: mc.Tally{Shots: rec.Shots, Errors: rec.Errors}}
@@ -270,9 +282,11 @@ func (f *File) Lookup(key mc.RunKey, sh mc.Shard) (mc.Tally, bool) {
 	return v.tally, true
 }
 
-// Record implements mc.Checkpoint: it appends the shard's tally and
-// flushes it to the OS before returning, so a kill after Record cannot
-// lose the shard. Re-recording an already-present shard is a no-op.
+// Record implements mc.Checkpoint: it appends the shard's tally as one
+// canonical line, built in a buffer the File reuses, and hands it to the
+// OS in a single write(2) before returning, so a kill after Record cannot
+// lose the shard. Recording a new shard allocates nothing once the map has
+// room. Re-recording an already-present shard is a no-op.
 func (f *File) Record(key mc.RunKey, sh mc.Shard, t mc.Tally) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -283,10 +297,12 @@ func (f *File) Record(key mc.RunKey, sh mc.Shard, t mc.Tally) error {
 	if _, ok := f.done[k]; ok {
 		return nil
 	}
-	if err := f.a.Append(record(k, entryVal{seed: sh.Seed, tally: t})); err != nil {
+	v := entryVal{seed: sh.Seed, tally: t}
+	f.line = appendShard(f.line[:0], record(k, v))
+	if err := f.a.AppendLine(f.line); err != nil {
 		return err
 	}
-	f.done[k] = entryVal{seed: sh.Seed, tally: t}
+	f.done[k] = v
 	return nil
 }
 

@@ -388,8 +388,10 @@ func RunContext(ctx context.Context, cfg Config, newWorker func() ShardRunner) (
 				}
 				t := run(sh)
 				if err := cp.Record(key, sh, t); err != nil {
-					err = fmt.Errorf("mc: checkpoint record: %w", err)
-					recordErr.CompareAndSwap(nil, &err)
+					// A fresh variable: taking err's address would move it
+					// to the heap on every shard, not just this branch.
+					werr := fmt.Errorf("mc: checkpoint record: %w", err)
+					recordErr.CompareAndSwap(nil, &werr)
 					cancel() // stop dispatching: the store is not durable anymore
 				}
 				return t

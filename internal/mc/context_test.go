@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hetarch/internal/mc"
 	"hetarch/internal/mc/chaos"
@@ -150,6 +151,28 @@ func TestChaosCancelPartialMatchesCompletedSet(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("partial tally %+v != completed-set sum %+v", got, want)
+	}
+}
+
+// TestChaosSlowCancelStillInterrupts: a cancel func that takes 50 ms
+// must still interrupt a run of trivial shards that the other workers
+// could finish in that time, within the bound CancelAfter documents.
+func TestChaosSlowCancelStillInterrupts(t *testing.T) {
+	const k, workers, shards = 5, 4, 64
+	cfg := mc.Config{Shots: shards * 16, ShardSize: 16, Seed: 3, Workers: workers}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := chaos.New(1).CancelAfter(k, func() {
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+	})
+	_, err := mc.RunContext(mc.WithFaultInjector(ctx, in), cfg, countingRunner)
+	var pe *mc.PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want *PartialError, got %v", err)
+	}
+	if n := len(pe.Completed); n < k || n > k+2*(workers-1) {
+		t.Fatalf("completed %d of %d shards, want %d to %d", n, shards, k, k+2*(workers-1))
 	}
 }
 
@@ -303,6 +326,33 @@ func (m *memCheckpoint) runNumbers() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// nopCheckpoint records nothing and finds nothing.
+type nopCheckpoint struct{}
+
+func (nopCheckpoint) Lookup(mc.RunKey, mc.Shard) (mc.Tally, bool) { return mc.Tally{}, false }
+func (nopCheckpoint) Record(mc.RunKey, mc.Shard, mc.Tally) error  { return nil }
+
+// TestRunContextCheckpointAllocs: the checkpoint wrapper around each shard
+// allocates nothing, so a checkpointed run makes as many allocations at
+// 1,024 shards as at 16.
+func TestRunContextCheckpointAllocs(t *testing.T) {
+	ctx := mc.WithCheckpoint(context.Background(), nopCheckpoint{})
+	runner := func() mc.ShardRunner {
+		return func(sh mc.Shard) mc.Tally { return mc.Tally{Shots: int64(sh.Shots)} }
+	}
+	allocs := func(shards int) float64 {
+		cfg := mc.Config{Shots: shards, ShardSize: 1, Seed: 1, Workers: 1}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := mc.RunContext(ctx, cfg, runner); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(16), allocs(1024); few != many {
+		t.Fatalf("RunContext makes %v allocations at 16 shards and %v at 1,024, want equal", few, many)
+	}
 }
 
 // TestWithCheckpointScopesRunNumbering: two experiments running
