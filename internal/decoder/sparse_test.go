@@ -213,8 +213,8 @@ func TestSparseDecoderMatchesReference(t *testing.T) {
 
 // TestSparseDecoderFreshVsReused guards the epoch reset: a long-lived
 // decoder that has seen many shots must predict exactly like a freshly
-// constructed one on the same pattern, and the peel-root bitsets, which
-// are not epoch-stamped, must be empty again after every batch.
+// constructed one on the same pattern, and the grown-boundary bitset,
+// which is not epoch-stamped, must be empty again after every batch.
 func TestSparseDecoderFreshVsReused(t *testing.T) {
 	g := sectorGraph(7, 8)
 	rng := splitmix.New(5)
@@ -223,11 +223,9 @@ func TestSparseDecoderFreshVsReused(t *testing.T) {
 	preds := make([]uint64, 64)
 	bitsetsEmpty := func(u *UnionFind, batch int) {
 		t.Helper()
-		for name, set := range map[string][]uint64{"seedEdges": u.seedEdges, "rootNodes": u.rootNodes} {
-			for wi, w := range set {
-				if w != 0 {
-					t.Fatalf("batch %d: %s word %d = %#x after decode, want 0", batch, name, wi, w)
-				}
+		for wi, w := range u.seedEdges {
+			if w != 0 {
+				t.Fatalf("batch %d: seedEdges word %d = %#x after decode, want 0", batch, wi, w)
 			}
 		}
 	}

@@ -10,10 +10,15 @@ import (
 
 // Decode telemetry: one atomic add per shot, plus a defects-per-shot
 // histogram — the distribution that explains decoder cost (union–find is
-// almost-linear in defects, not graph size).
+// almost-linear in defects, not graph size). The cluster counts say how
+// many final clusters the peel read from their potentials and how many it
+// had to walk; the decoder sums them and adds them once per Decode or
+// DecodeBatch call.
 var (
-	ufDecodes = obs.C("decoder.unionfind.decodes")
-	ufDefects = obs.H("decoder.unionfind.defects_per_shot")
+	ufDecodes     = obs.C("decoder.unionfind.decodes")
+	ufDefects     = obs.H("decoder.unionfind.defects_per_shot")
+	ufClusters    = obs.C("decoder.unionfind.clusters")
+	ufBFSClusters = obs.C("decoder.unionfind.bfs_clusters")
 )
 
 // Boundary is the virtual node index representing the open boundary of a
@@ -70,15 +75,25 @@ func (g *Graph) Validate() error {
 //     input, does not depend on the visiting order, so the predictions
 //     equal those of the historical loop over merged per-cluster edge
 //     lists (the reference in the tests) bit for bit.
+//   - XOR potentials. A node's pot is the XOR of ObsMask along full
+//     edges to its forest parent, so the XOR of pots up to the root is
+//     the observable of one full-edge path from the node to its root.
+//     Each root keeps its defects' accumulated potentials, its least
+//     node and, once a boundary edge fills, its exit: that edge's node
+//     potential XOR its mask. A root is flagged slow when a fill closes
+//     a cycle that flips an observable or two exits disagree. In an
+//     unflagged cluster every full-edge path between two points carries
+//     the same observable, so the peel reads its correction in O(1);
+//     only flagged clusters take the BFS peel.
 //   - Epoch stamps. A node's state sits in one struct stamped with the
 //     decode generation, and an edge's state is one word epoch<<2|growth,
 //     full exactly when it equals epoch<<2|2. Resetting for the next shot
 //     is a counter bump, so a shot costs O(cluster area around its
 //     defects), never O(NumNodes + Edges). At epoch 2^30 every stamp is
 //     cleared and the epoch restarts at 1.
-//   - Arena slices. The transient lists and the peel-root bitsets live on
-//     the decoder and are reused across calls, so steady-state decoding
-//     performs zero allocations.
+//   - Arena slices. The transient lists and the grown-boundary bitset
+//     live on the decoder and are reused across calls, so steady-state
+//     decoding performs zero allocations.
 //
 // The decoder is reusable: Decode/DecodeBatch may be called repeatedly
 // with different defect patterns. It is not safe for concurrent use; mc
@@ -103,14 +118,16 @@ type UnionFind struct {
 	oddRoots []int32 // odd, boundary-free roots for the current round
 	seenGen  uint32  // dedup generation for ufNode.seen, reset per decode
 
-	// peel arenas. Growth marks the endpoints of every edge it fills in
-	// rootNodes and grown boundary edges in seedEdges; the peel reads both
-	// back in ascending order and zeroes them, so they are empty between
-	// decodes.
+	// peel arenas. Growth marks grown boundary edges in seedEdges; the
+	// peel zeroes it, reading it back in ascending order when a flagged
+	// cluster needs boundary seeds, so it is empty between decodes.
 	seedEdges []uint64
-	rootNodes []uint64
 	queue     []int32 // BFS ring and visit order: qHead indexes the next pop
 	qHead     int
+
+	// clusters and bfsClusters count final clusters, and those the BFS
+	// peeled, since the last flush to the package counters.
+	clusters, bfsClusters int64
 
 	// batchDefects[s] is shot s's defect list, rebuilt by DecodeBatch's
 	// one-pass transpose of the packed detector words.
@@ -129,15 +146,24 @@ type ufArc struct {
 }
 
 // ufNode is a node's growth-phase state, valid where epoch is the
-// decoder's. head and tail are meaningful on cluster roots only.
+// decoder's. Only epoch, parent, open, next and pot describe every node;
+// the rest is meaningful on cluster roots, exit only once boundary is set.
+// pot is relative to the parent; acc and exit, like the potential find
+// returns, are relative to the root. The layout fills 64 bytes.
 type ufNode struct {
-	epoch            uint32
-	parent, size     int32
-	open             int32  // arcs whose edge is not yet full
-	next             int32  // next vertex on the open-vertex chain, or -1
-	head, tail       int32  // the cluster's chain, -1 when it is empty
-	seen             uint32 // last seenGen that listed this root
-	parity, boundary bool
+	epoch        uint32
+	parent, size int32
+	open         int32  // arcs whose edge is not yet full
+	next         int32  // next vertex on the open-vertex chain, or -1
+	head, tail   int32  // the cluster's chain, -1 when it is empty
+	seen         uint32 // last seenGen that listed this root
+	least        int32  // the cluster's least node index
+	// slow: a fill closed a cycle that flips an observable, or two exits
+	// disagree, so the peel must walk the cluster's BFS forest.
+	parity, boundary, slow bool
+	pot                    uint64 // ObsMask XOR along full edges to parent; 0 at a root
+	acc                    uint64 // XOR of the defects' potentials
+	exit                   uint64 // a grown boundary edge's node potential ^ its ObsMask
 }
 
 // peelNode is a node's peel-phase state, valid where epoch is the
@@ -187,8 +213,6 @@ func NewUnionFind(g *Graph) *UnionFind {
 
 // newUnionFind allocates a decoder's scratch around a shared adjacency.
 func newUnionFind(g *Graph, first []int32, arcs []ufArc) *UnionFind {
-	edgeWords := (len(g.Edges) + 63) / 64
-	bitsets := make([]uint64, edgeWords+(g.NumNodes+63)/64)
 	return &UnionFind{
 		g:         g,
 		first:     first,
@@ -196,8 +220,7 @@ func newUnionFind(g *Graph, first []int32, arcs []ufArc) *UnionFind {
 		nodes:     make([]ufNode, g.NumNodes),
 		grown:     make([]uint32, len(g.Edges)),
 		peels:     make([]peelNode, g.NumNodes),
-		seedEdges: bitsets[:edgeWords:edgeWords],
-		rootNodes: bitsets[edgeWords:],
+		seedEdges: make([]uint64, (len(g.Edges)+63)/64),
 	}
 }
 
@@ -213,7 +236,7 @@ func (u *UnionFind) Clone() *UnionFind {
 func (u *UnionFind) touch(i int32) *ufNode {
 	n := &u.nodes[i]
 	if n.epoch != u.epoch {
-		*n = ufNode{epoch: u.epoch, parent: i, size: 1, open: u.first[i+1] - u.first[i], next: -1, head: i, tail: i}
+		*n = ufNode{epoch: u.epoch, parent: i, size: 1, open: u.first[i+1] - u.first[i], next: -1, head: i, tail: i, least: i}
 	}
 	return n
 }
@@ -227,32 +250,58 @@ func (u *UnionFind) touchPeel(i int32) *peelNode {
 	return p
 }
 
-// find returns the root of touched node x's cluster, halving the path.
-func (u *UnionFind) find(x int32) int32 {
+// find returns the root of touched node x's cluster and x's potential
+// relative to it, halving the path: a node that skips its parent takes the
+// parent's potential into its own.
+func (u *UnionFind) find(x int32) (root int32, pot uint64) {
 	n := u.nodes
-	for n[x].parent != x {
-		n[x].parent = n[n[x].parent].parent
+	for {
+		p := n[x].parent
+		if p == x {
+			return x, pot
+		}
+		n[x].pot ^= n[p].pot
+		n[x].parent = n[p].parent
+		pot ^= n[x].pot
 		x = n[x].parent
 	}
-	return x
 }
 
-// union merges the clusters of touched nodes a and b, splicing the
-// smaller cluster's chain after the larger one's tail.
-func (u *UnionFind) union(a, b int32) {
-	ra, rb := u.find(a), u.find(b)
+// union merges the clusters of touched nodes a and b, which a full edge
+// of mask m now joins, splicing the smaller cluster's chain after the
+// larger one's tail. The absorbed root's potential becomes the observable
+// of the path from one root through a, the edge and b to the other, and
+// rebases its accumulator and exit. When a and b already share a root
+// that path is a cycle, and one that flips an observable flags the
+// cluster.
+func (u *UnionFind) union(a, b int32, m uint64) {
+	ra, pa := u.find(a)
+	rb, pb := u.find(b)
+	n := u.nodes
+	d := pa ^ pb ^ m
 	if ra == rb {
+		if d != 0 {
+			n[ra].slow = true
+		}
 		return
 	}
-	n := u.nodes
 	if n[ra].size < n[rb].size {
 		ra, rb = rb, ra
 	}
 	big, small := &n[ra], &n[rb]
 	small.parent = ra
+	small.pot = d
 	big.size += small.size
+	if small.parity {
+		big.acc ^= d
+	}
+	big.acc ^= small.acc
 	big.parity = big.parity != small.parity
-	big.boundary = big.boundary || small.boundary
+	if small.boundary {
+		big.exitAt(small.exit ^ d)
+	}
+	big.slow = big.slow || small.slow
+	big.least = min(big.least, small.least)
 	if small.head >= 0 {
 		if big.head < 0 {
 			big.head = small.head
@@ -261,6 +310,15 @@ func (u *UnionFind) union(a, b int32) {
 		}
 		big.tail = small.tail
 	}
+}
+
+// exitAt records boundary exit x, relative to root n, flagging the cluster
+// when an exit it already has disagrees.
+func (n *ufNode) exitAt(x uint64) {
+	if n.boundary && n.exit != x {
+		n.slow = true
+	}
+	n.exit, n.boundary = x, true
 }
 
 // Decode takes the dense defect pattern (one bool per node) and returns
@@ -279,7 +337,9 @@ func (u *UnionFind) Decode(defects []bool) uint64 {
 			u.defects = append(u.defects, int32(i))
 		}
 	}
-	return u.decode(u.defects)
+	pred := u.decode(u.defects)
+	u.flushCounts()
+	return pred
 }
 
 // DecodeBatch decodes the first nshots shots of a packed 64-shot detector
@@ -316,6 +376,16 @@ func (u *UnionFind) DecodeBatch(words []uint64, nshots int, preds []uint64) {
 	for s := 0; s < nshots; s++ {
 		preds[s] = u.decode(u.batchDefects[s])
 	}
+	u.flushCounts()
+}
+
+// flushCounts adds the cluster counts gathered since the last call to the
+// package counters: two atomic adds per Decode or DecodeBatch call, not
+// per shot.
+func (u *UnionFind) flushCounts() {
+	ufClusters.Add(u.clusters)
+	ufBFSClusters.Add(u.bfsClusters)
+	u.clusters, u.bfsClusters = 0, 0
 }
 
 // decode is the sparse core: defects is the strictly-increasing list of
@@ -349,7 +419,7 @@ func (u *UnionFind) decode(defects []int32) uint64 {
 		u.oddRoots = u.oddRoots[:0]
 		u.seenGen++
 		for _, a := range u.active {
-			r := u.find(a)
+			r, _ := u.find(a)
 			n := &u.nodes[r]
 			if n.seen == u.seenGen {
 				continue
@@ -364,7 +434,7 @@ func (u *UnionFind) decode(defects []int32) uint64 {
 		}
 		progress := false
 		for _, r := range u.oddRoots {
-			if u.grow(u.find(r)) {
+			if r, _ = u.find(r); u.grow(r) {
 				progress = true
 			}
 		}
@@ -378,7 +448,7 @@ func (u *UnionFind) decode(defects []int32) uint64 {
 		u.seenGen++
 		next := u.active[:0]
 		for _, a := range u.active {
-			r := u.find(a)
+			r, _ := u.find(a)
 			if n := &u.nodes[r]; n.seen != u.seenGen {
 				n.seen = u.seenGen
 				next = append(next, r)
@@ -443,20 +513,19 @@ func (u *UnionFind) prune(r int32) (head, tail int32) {
 }
 
 // fill handles arc a of vertex v reaching full growth: both endpoints
-// lose an open arc and become peel roots, and the edge merges their
-// clusters or, for a boundary edge, marks v's cluster as touching the
-// boundary and seeds the peel there.
+// lose an open arc, and the edge merges their clusters or, for a boundary
+// edge, gives v's cluster an exit and marks the edge as a peel seed.
 func (u *UnionFind) fill(v int32, a ufArc) {
 	u.nodes[v].open--
-	setBit(u.rootNodes, int(v))
+	m := u.g.Edges[a.edge].ObsMask
 	if a.nbr == Boundary {
 		setBit(u.seedEdges, int(a.edge))
-		u.nodes[u.find(v)].boundary = true
+		r, p := u.find(v)
+		u.nodes[r].exitAt(p ^ m)
 		return
 	}
 	u.touch(a.nbr).open--
-	setBit(u.rootNodes, int(a.nbr))
-	u.union(v, a.nbr)
+	u.union(v, a.nbr, m)
 }
 
 // setBit marks index i in the bitset s.
@@ -464,22 +533,56 @@ func setBit(s []uint64, i int) {
 	s[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// peel extracts a correction from the grown cluster forests and returns the
-// XOR of the observable masks of the chosen edges. Only nodes reachable
-// from grown edges or defects are visited; everything else is untouched
-// scratch from some earlier epoch.
+// peel returns the observable of the correction extracted from the grown
+// clusters. The BFS peel (peelBFS) pushes every defect along its tree path
+// to the root, and into the root's boundary edge when its tree holds an
+// odd number of them, so a tree contributes the XOR of its defects' path
+// observables, plus that edge's mask when odd. In a cluster that is not
+// slow, every full-edge path from x to y carries pot(x) ^ pot(y) and every
+// exit is the same, so its trees sum to acc ^ (odd ? exit : 0); a
+// boundary-free cluster is one tree rooted at its least node, where an odd
+// defect is stranded, so it sums to acc ^ (odd ? pot(least) : 0). Only
+// slow clusters take the BFS peel.
 func (u *UnionFind) peel(defects []int32) uint64 {
+	var obsMask uint64
+	slow := 0
+	for _, r := range u.active { // after growth, the distinct roots
+		n := &u.nodes[r]
+		switch {
+		case n.slow:
+			slow++
+		case !n.parity:
+			obsMask ^= n.acc
+		case n.boundary:
+			obsMask ^= n.acc ^ n.exit
+		default:
+			_, p := u.find(n.least)
+			obsMask ^= n.acc ^ p
+		}
+	}
+	u.clusters += int64(len(u.active))
+	if slow == 0 {
+		clear(u.seedEdges)
+		return obsMask
+	}
+	u.bfsClusters += int64(slow)
+	return obsMask ^ u.peelBFS(defects)
+}
+
+// peelBFS peels the slow clusters and returns the observable of their
+// correction. It builds BFS forests over their full edges, rooted first at
+// the nodes of their grown boundary edges, in edge index order, so that
+// defects can drain into the boundary, then at the least node of each
+// boundary-free one, and peels the forests leaves first. The other
+// clusters' seeds must stay out, since peel has counted those clusters
+// already. Clusters share no full edge, so leaving them out changes
+// neither the order in which the queue reaches a slow cluster's nodes nor
+// its forest: the correction is the one a BFS over every cluster would
+// peel there.
+func (u *UnionFind) peelBFS(defects []int32) uint64 {
 	for _, d := range defects {
 		u.touchPeel(d).defect = true
-		setBit(u.rootNodes, int(d))
 	}
-
-	// Build BFS forests over fully-grown edges. Roots are nodes adjacent to
-	// grown boundary edges (so defects can drain into the boundary), then
-	// the lowest-index unvisited node of each remaining tree. Both kinds of
-	// seed are marked in a bitset and read back word by word in ascending
-	// index order (zeroing each word as it is read), so the traversal
-	// matches a dense index-order scan.
 	u.queue = u.queue[:0]
 	u.qHead = 0
 	for wi, w := range u.seedEdges {
@@ -487,6 +590,9 @@ func (u *UnionFind) peel(defects []int32) uint64 {
 		for ; w != 0; w &= w - 1 {
 			ei := wi<<6 | bits.TrailingZeros64(w)
 			v := int32(u.g.Edges[ei].U)
+			if r, _ := u.find(v); !u.nodes[r].slow {
+				continue
+			}
 			if p := u.touchPeel(v); !p.visited {
 				p.visited = true
 				p.edge = int32(ei)
@@ -494,18 +600,13 @@ func (u *UnionFind) peel(defects []int32) uint64 {
 			}
 		}
 	}
-	u.bfs() // drain the boundary-rooted trees first
-	for wi, w := range u.rootNodes {
-		u.rootNodes[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			start := int32(wi<<6 | bits.TrailingZeros64(w))
-			if p := u.touchPeel(start); !p.visited {
-				p.visited = true
-				u.queue = append(u.queue, start)
-				u.bfs()
-			}
+	for _, r := range u.active {
+		if n := &u.nodes[r]; n.slow && !n.boundary {
+			u.touchPeel(n.least).visited = true
+			u.queue = append(u.queue, n.least)
 		}
 	}
+	u.bfs()
 
 	// Peel in reverse BFS order: leaves first. A defect at a node is pushed
 	// along its parent edge (flipping the correction) onto its parent; roots

@@ -60,9 +60,12 @@ func TestMetricNameHygiene(t *testing.T) {
 	// Metrics the decoder hot path is expected to keep publishing: the
 	// zero-alloc rewrite moved defect accounting out of Decode's inner loop,
 	// and these names are the contract that the telemetry survived the move.
+	// The cluster counters report how often the peel falls back to its BFS.
 	for name, kind := range map[string]string{
 		"decoder.unionfind.decodes":          "counter",
 		"decoder.unionfind.defects_per_shot": "histogram",
+		"decoder.unionfind.clusters":         "counter",
+		"decoder.unionfind.bfs_clusters":     "counter",
 	} {
 		if _, ok := kinds[name]; !ok {
 			t.Errorf("expected %s %q is not registered", kind, name)
