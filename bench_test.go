@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -322,6 +323,54 @@ func BenchmarkAblationScalarVsBatchSampling(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAblationFrameVsSensitivitySampling compares, per 64-shot batch
+// of the Reed–Muller and Steane heterogeneous circuits at Ts = 50 ms, the
+// frame sampler plus the sparse per-shot transpose the uec shard ran on
+// its detector and observable words, against the sensitivity sampler,
+// which returns per-shot words directly.
+func BenchmarkAblationFrameVsSensitivitySampling(b *testing.B) {
+	for _, code := range []*qec.Code{qec.ReedMuller15(), qec.Steane()} {
+		e, err := uec.New(uec.DefaultParams(code, 50, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(code.Name+"/frame", func(b *testing.B) {
+			bs := stabsim.NewBatchFrameSampler(e.Circuit, splitmix.New(1))
+			var shots [64]uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := bs.SampleBatch()
+				shots = [64]uint64{}
+				for j, w := range r.Detectors {
+					for ; w != 0; w &= w - 1 {
+						shots[bits.TrailingZeros64(w)] |= 1 << uint(j)
+					}
+				}
+				for j, w := range r.Observables {
+					for ; w != 0; w &= w - 1 {
+						shots[bits.TrailingZeros64(w)] |= 1 << uint(len(r.Detectors)+j)
+					}
+				}
+			}
+			shotSink = shots
+		})
+		b.Run(code.Name+"/sensitivity", func(b *testing.B) {
+			s, err := stabsim.CompileSensitivities(e.Circuit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ss := stabsim.NewSensitivitySampler(s, splitmix.New(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shotSink = *ss.SampleBatch()
+			}
+		})
+	}
+}
+
+// shotSink keeps the ablation's sampled words live.
+var shotSink [64]uint64
 
 // BenchmarkAblationDistillationProtocols compares DEJMPS against BBPSSW:
 // rounds (and hence raw pairs) needed to reach the 99.5% target from raw

@@ -168,39 +168,47 @@ type BatchFrameSampler struct {
 // noise state, one slab of frame, record, detector and observable words,
 // and one slab holding a gap table per distinct probability.
 func NewBatchFrameSampler(c *Circuit, rng *splitmix.RNG) *BatchFrameSampler {
-	b := &BatchFrameSampler{c: c, rng: rng, noise: make([]maskParams, len(c.Ops))}
+	b := &BatchFrameSampler{c: c, rng: rng}
 	n, m, d := c.N, c.numMeasurements, c.numDetectors
 	words := make([]uint64, 2*n+m+d+c.numObservables)
 	b.fx, b.fz = words[:n:n], words[n:2*n:2*n]
 	b.flips = words[2*n : 2*n : 2*n+m]
 	b.detectors = words[2*n+m : 2*n+m+d : 2*n+m+d]
 	b.obs = words[2*n+m+d:]
+	b.noise = newMaskParams(len(c.Ops), func(i int) float64 { return eventProbability(&c.Ops[i]) })
+	return b
+}
 
+// newMaskParams returns the sampling state of n event words, the i-th of
+// probability p(i), in two allocations: the states and one slab holding a
+// gap table per distinct probability strictly between 0 and 1.
+func newMaskParams(n int, p func(i int) float64) []maskParams {
+	noise := make([]maskParams, n)
 	// noise[:k] first lists the distinct probabilities that need a table;
 	// the loop after the build overwrites every entry.
 	k := 0
-	for i := range c.Ops {
-		p := eventProbability(&c.Ops[i])
-		if p > 0 && p < 1 && !slices.ContainsFunc(b.noise[:k], func(m maskParams) bool { return m.p == p }) {
-			b.noise[k].p = p
+	for i := range noise {
+		pi := p(i)
+		if pi > 0 && pi < 1 && !slices.ContainsFunc(noise[:k], func(m maskParams) bool { return m.p == pi }) {
+			noise[k].p = pi
 			k++
 		}
 	}
 	tables := make([]gapTable, k)
 	for j := range tables {
-		tables[j].build(b.noise[j].p)
+		tables[j].build(noise[j].p)
 	}
-	for i := range c.Ops {
-		p := eventProbability(&c.Ops[i])
-		b.noise[i] = maskParams{p: p}
+	for i := range noise {
+		pi := p(i)
+		noise[i] = maskParams{p: pi}
 		for j := range tables {
-			if t := &tables[j]; t.p == p {
-				b.noise[i].gaps = t
+			if t := &tables[j]; t.p == pi {
+				noise[i].gaps = t
 				break
 			}
 		}
 	}
-	return b
+	return noise
 }
 
 // BatchResult carries 64 shots: bit s of Detectors[d] is detector d's event

@@ -269,11 +269,21 @@ func circuitFromBytes(data []byte) *Circuit {
 // compareWithReference samples batches of c with SampleBatch and with the
 // verbatim referenceSampleBatch from identically seeded generators, and
 // fails on the first detector, observable or frame word that differs.
-func compareWithReference(t *testing.T, c *Circuit, seed int64, batches int) {
+// When c has at most 64 detectors plus observables, it also compiles c and
+// samples the same batches with a SensitivitySampler, which must return
+// the reference's words transposed, shot by shot, and leave its generator
+// where the reference left its own. It reports whether c compiled.
+func compareWithReference(t *testing.T, c *Circuit, seed int64, batches int) bool {
 	t.Helper()
 	got := NewBatchFrameSampler(c, splitmix.New(seed))
 	want := NewBatchFrameSampler(c, splitmix.New(seed))
 	noise := referenceNoise(c)
+	var sens *SensitivitySampler
+	if s, err := CompileSensitivities(c); err == nil {
+		sens = NewSensitivitySampler(s, splitmix.New(seed))
+	} else if c.NumDetectors()+c.NumObservables() <= 64 {
+		t.Fatalf("%d detectors and %d observables: %v", c.NumDetectors(), c.NumObservables(), err)
+	}
 	for i := 0; i < batches; i++ {
 		g, w := got.SampleBatch(), want.referenceSampleBatch(noise)
 		switch {
@@ -284,18 +294,48 @@ func compareWithReference(t *testing.T, c *Circuit, seed int64, batches int) {
 		case !slices.Equal(got.fx, want.fx) || !slices.Equal(got.fz, want.fz):
 			t.Fatalf("batch %d: frame X %x Z %x, reference X %x Z %x", i, got.fx, got.fz, want.fx, want.fz)
 		}
+		if sens == nil {
+			continue
+		}
+		shots := sens.SampleBatch()
+		if *sens.rng != *want.rng {
+			t.Fatalf("batch %d: sensitivity sampler's generator at %x, reference's at %x", i, *sens.rng, *want.rng)
+		}
+		for s := range shots {
+			if tw := transposedShot(w, s); shots[s] != tw {
+				t.Fatalf("batch %d shot %d: sensitivity word %x, reference %x", i, s, shots[s], tw)
+			}
+		}
 	}
+	return sens != nil
+}
+
+// transposedShot packs shot s of a batch result into one word: detector i
+// at bit i, observable j at bit len(Detectors)+j.
+func transposedShot(r BatchResult, s int) uint64 {
+	var w uint64
+	for i, d := range r.Detectors {
+		w |= (d >> uint(s) & 1) << uint(i)
+	}
+	for j, o := range r.Observables {
+		w |= (o >> uint(s) & 1) << uint(len(r.Detectors)+j)
+	}
+	return w
 }
 
 // TestBatchSamplerMatchesReference compares SampleBatch with the verbatim
 // reference word for word on 200 random circuits of 50 batches each (10^4
-// batches), and checks that the circuits exercised PauliChannel1 with a
-// zero component, Depolarize1, Depolarize2, M and MR.
+// batches), and the sensitivity sampler with the transposed reference on
+// those of them with at most 64 detectors plus observables, at least half.
+// It checks that the circuits exercised PauliChannel1 with a zero
+// component, Depolarize1, Depolarize2, M and MR.
 func TestBatchSamplerMatchesReference(t *testing.T) {
 	rng := splitmix.New(22)
 	seen := map[OpCode]bool{}
 	zeroComponent := false
-	for i := 0; i < 200; i++ {
+	compiled := 0
+	const circuits = 200
+	for i := 0; i < circuits; i++ {
 		data := make([]byte, 64+rng.Intn(256))
 		for j := range data {
 			data[j] = byte(rng.Uint64())
@@ -307,7 +347,9 @@ func TestBatchSamplerMatchesReference(t *testing.T) {
 				zeroComponent = true
 			}
 		}
-		compareWithReference(t, c, rng.Int63(), 50)
+		if compareWithReference(t, c, rng.Int63(), 50) {
+			compiled++
+		}
 	}
 	for _, code := range []OpCode{OpPauliChannel1, OpDepolarize1, OpDepolarize2, OpM, OpMR} {
 		if !seen[code] {
@@ -317,11 +359,15 @@ func TestBatchSamplerMatchesReference(t *testing.T) {
 	if !zeroComponent {
 		t.Error("no circuit used a PauliChannel1 with a zero component")
 	}
+	if compiled < circuits/2 {
+		t.Errorf("%d of %d circuits compiled, want at least half", compiled, circuits)
+	}
 }
 
-// FuzzBatchSampler drives SampleBatch and the verbatim reference over
-// fuzzer-built circuits: the first eight bytes seed the generator, the
-// rest build the circuit, and four batches must agree word for word.
+// FuzzBatchSampler drives SampleBatch, the sensitivity sampler and the
+// verbatim reference over fuzzer-built circuits: the first eight bytes seed
+// the generator, the rest build the circuit, and four batches must agree
+// word for word.
 func FuzzBatchSampler(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 3, 17, 2, 5, 100, 200, 7, 9, 1, 0, 18, 0, 0})
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 7, 12, 2, 1, 2, 3, 128, 13, 1, 0, 1, 2, 3, 255, 10, 2, 0, 1, 2, 60, 18, 2, 0, 1, 2})

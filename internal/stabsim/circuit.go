@@ -4,17 +4,26 @@
 //
 // A Circuit is a sequence of Clifford operations, Pauli noise channels,
 // measurements, and annotations (DETECTOR / OBSERVABLE) referencing earlier
-// measurement records. Two execution backends are provided:
+// measurement records. Three samplers and one exact runner are provided:
 //
 //   - FrameSampler: propagates a Pauli frame (error difference relative to a
 //     noiseless reference execution) through the circuit. Cost per shot is
 //     linear in circuit size, independent of qubit count beyond bit storage.
 //     This is what makes 10⁴+-shot Monte Carlo over hundreds of qubits cheap.
+//   - BatchFrameSampler: the same propagation for 64 shots at once, one
+//     shot per bit of a word, with noise drawn as sparse event words. It
+//     returns one word per detector and observable.
+//   - SensitivitySampler: for circuits with at most 64 detectors plus
+//     observables, CompileSensitivities finds once, by a reverse sweep,
+//     the detectors and observables each noise site flips; sampling then
+//     XORs one word per drawn event into its shot, with no gate replay.
+//     It makes BatchFrameSampler's draws and returns its words transposed,
+//     one word per shot.
 //   - TableauRunner: exact stabilizer execution via the Aaronson–Gottesman
 //     tableau with noise sampled as explicit Pauli injections. Quadratically
 //     slower, used to validate the frame sampler and for exact small runs.
 //
-// Both require valid circuits: every DETECTOR must reference a measurement
+// All require valid circuits: every DETECTOR must reference a measurement
 // set whose parity is deterministic in the absence of noise (the standard
 // detector contract).
 package stabsim

@@ -1,6 +1,7 @@
 package stabsim_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -123,6 +124,130 @@ func TestGapTableExact(t *testing.T) {
 	t.Logf("%d probabilities from %v to %v", len(ps), ps[0], ps[len(ps)-1])
 }
 
+// TestSensitivitiesSingleFault is the single-fault oracle of the reverse
+// sweep. On each of the 30 UEC circuits of TestRunContextGolden, every
+// compiled site's X and Z words must equal shot 0 of one SampleBatch of a
+// copy whose only noise is a certain (p = 1) X or Z error at that site,
+// or a certain readout flip for a measurement site. Such a copy draws
+// nothing, which the test checks, so the comparison is exact.
+func TestSensitivitiesSingleFault(t *testing.T) {
+	for ci, c := range uecCircuits(t) {
+		s, err := stabsim.CompileSensitivities(c)
+		if err != nil {
+			t.Fatalf("circuit %d: %v", ci, err)
+		}
+		sites := stabsim.CompiledSites(s)
+		next, nonzero := 0, 0
+		check := func(what string, want uint64, d *stabsim.Circuit) {
+			t.Helper()
+			rng := splitmix.New(1)
+			got := stabsim.TransposedShot(stabsim.NewBatchFrameSampler(d, rng).SampleBatch(), 0)
+			if got != want {
+				t.Fatalf("circuit %d site %d, %s: compiled word %x, single-fault run %x", ci, next, what, want, got)
+			}
+			if *rng != *splitmix.New(1) {
+				t.Fatalf("circuit %d site %d, %s: the single-fault run drew", ci, next, what)
+			}
+			if want != 0 {
+				nonzero++
+			}
+		}
+		for i := range c.Ops {
+			op := &c.Ops[i]
+			if stabsim.EventProbability(op) == 0 {
+				continue
+			}
+			ts := op.Targets
+			step := 1
+			if op.Code == stabsim.OpDepolarize2 {
+				step = 2
+			}
+			for k := 0; k < len(ts); k += step {
+				if next == len(sites) {
+					t.Fatalf("circuit %d: %d sites compiled, op %d has more", ci, len(sites), i)
+				}
+				w := sites[next]
+				switch op.Code {
+				case stabsim.OpM, stabsim.OpMR:
+					check(fmt.Sprintf("readout of op %d target %d", i, k), w.X, withOneFault(c, i, k, nil))
+				default:
+					words := [][2]uint64{{w.X, w.Z}, {w.X2, w.Z2}}
+					for j, q := range ts[k : k+step] {
+						check(fmt.Sprintf("X on qubit %d at op %d", q, i), words[j][0],
+							withOneFault(c, i, k, func(d *stabsim.Circuit) { d.XError(1, q) }))
+						check(fmt.Sprintf("Z on qubit %d at op %d", q, i), words[j][1],
+							withOneFault(c, i, k, func(d *stabsim.Circuit) { d.ZError(1, q) }))
+					}
+				}
+				next++
+			}
+		}
+		if next != len(sites) {
+			t.Fatalf("circuit %d: %d sites compiled, %d found", ci, len(sites), next)
+		}
+		if nonzero == 0 {
+			t.Fatalf("circuit %d: every site's words are 0", ci)
+		}
+	}
+}
+
+// withOneFault rebuilds c without its noise: noise ops are dropped and
+// every measurement reads out without a flip, one op per target. Only op
+// `at` keeps noise: for a noise op, fault adds it in the op's place; for a
+// measurement op (fault nil), target k's readout flips with p = 1.
+func withOneFault(c *stabsim.Circuit, at, k int, fault func(d *stabsim.Circuit)) *stabsim.Circuit {
+	d := stabsim.NewCircuit(c.N)
+	for i := range c.Ops {
+		op := &c.Ops[i]
+		ts := op.Targets
+		switch op.Code {
+		case stabsim.OpH:
+			d.H(ts...)
+		case stabsim.OpS:
+			d.S(ts...)
+		case stabsim.OpSDag:
+			d.SDag(ts...)
+		case stabsim.OpX:
+			d.X(ts...)
+		case stabsim.OpY:
+			d.Y(ts...)
+		case stabsim.OpZ:
+			d.Z(ts...)
+		case stabsim.OpCX:
+			d.CX(ts...)
+		case stabsim.OpCZ:
+			d.CZ(ts...)
+		case stabsim.OpSwap:
+			d.Swap(ts...)
+		case stabsim.OpM, stabsim.OpMR:
+			for j, q := range ts {
+				p := 0.0
+				if i == at && j == k {
+					p = 1
+				}
+				if op.Code == stabsim.OpM {
+					d.MFlip(p, q)
+				} else {
+					d.MR(p, q)
+				}
+			}
+		case stabsim.OpR:
+			d.R(ts...)
+		case stabsim.OpDetector:
+			d.Detector(op.Recs...)
+		case stabsim.OpObservable:
+			d.Observable(op.Index, op.Recs...)
+		case stabsim.OpTick:
+			d.Tick()
+		default:
+			if i == at {
+				fault(d)
+			}
+		}
+	}
+	return d
+}
+
 // TestNewBatchFrameSamplerAllocs gates sampler construction at four
 // allocations (the sampler, its per-op noise state, the word slab and the
 // gap-table slab) on the 24-probability homogeneous TriColor lattice
@@ -149,5 +274,36 @@ func TestNewBatchFrameSamplerAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(20, func() { bs.SampleBatch() }); got != 0 {
 			t.Errorf("%s: SampleBatch made %v allocations, want 0", name, got)
 		}
+	}
+}
+
+// TestNewSensitivitySamplerAllocs gates sensitivity sampler construction
+// at no more than the frame sampler's four allocations, and SampleBatch at
+// none, on the 30 UEC circuits of TestRunContextGolden. A circuit with 64
+// detectors plus observables must compile and one with 65 must not.
+func TestNewSensitivitySamplerAllocs(t *testing.T) {
+	for ci, c := range uecCircuits(t) {
+		s, err := stabsim.CompileSensitivities(c)
+		if err != nil {
+			t.Fatalf("circuit %d: %v", ci, err)
+		}
+		rng := splitmix.New(1)
+		var ss *stabsim.SensitivitySampler
+		if got := testing.AllocsPerRun(5, func() { ss = stabsim.NewSensitivitySampler(s, rng) }); got > 4 {
+			t.Errorf("circuit %d: NewSensitivitySampler made %v allocations, want at most 4", ci, got)
+		}
+		if got := testing.AllocsPerRun(20, func() { ss.SampleBatch() }); got != 0 {
+			t.Errorf("circuit %d: SampleBatch made %v allocations, want 0", ci, got)
+		}
+	}
+	c := stabsim.NewCircuit(1).M(0).Observable(0, -1)
+	for i := 0; i < 63; i++ {
+		c.Detector(-1)
+	}
+	if _, err := stabsim.CompileSensitivities(c); err != nil {
+		t.Fatalf("64 signals: %v", err)
+	}
+	if _, err := stabsim.CompileSensitivities(c.Detector(-1)); err == nil {
+		t.Fatal("a circuit with 64 detectors and 1 observable compiled")
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"hetarch/internal/qec"
 )
 
-// TestRunShardedSteadyStateZeroAllocs gates the UEC shard runner — batch
-// frame sampling, sparse syndrome transpose and parity-table decode —
-// at zero allocations per shot once its arenas are warm, on the Fig 9
+// TestRunShardedSteadyStateZeroAllocs gates the UEC shard runner —
+// sampling from the compiled noise sites and parity-table decode — at
+// zero allocations per shot once its arenas are warm, on the Fig 9
 // (Steane, heterogeneous) and Table 3 (TriColor-d5, homogeneous)
 // configurations. AllocsPerRun makes one unmeasured warm-up call before
 // the measured one, so construction and arena growth are excluded. What

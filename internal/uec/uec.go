@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"hetarch/internal/decoder"
 	"hetarch/internal/mc"
@@ -120,6 +119,10 @@ type Experiment struct {
 	parity      []uint64 // decoder.Lookup.LogicalParity over the basis checks
 	logicalMask uint64
 	numChecks   int
+
+	// sens is Circuit compiled into its noise sites, shared read-only by
+	// the Monte Carlo workers like parity.
+	sens *stabsim.Sensitivities
 }
 
 // basisStabs returns the stabilizers whose outcomes this experiment's
@@ -190,6 +193,11 @@ func New(p Params) (*Experiment, error) {
 	} else {
 		e.buildLatticeCircuit()
 	}
+	sens, err := stabsim.CompileSensitivities(e.Circuit)
+	if err != nil {
+		return nil, fmt.Errorf("uec: %w", err)
+	}
+	e.sens = sens
 	return e, nil
 }
 
@@ -502,11 +510,13 @@ func (r Result) LogicalErrorRate() float64 {
 	return float64(r.LogicalErrors) / float64(r.Shots)
 }
 
-// RunContext samples the experiment with the bit-parallel batch sampler
-// and decodes each shot in two stages: stage 1 corrects from the noisy
-// round's syndrome s1, stage 2 from the residual of the verification
-// round's syndrome sBoth. A shot is a logical error when the combined
-// correction's logical parity disagrees with the true observable flip.
+// RunContext samples the experiment 64 shots at a time from its compiled
+// noise sites and decodes each shot in two stages: stage 1 corrects from
+// the noisy round's syndrome s1, stage 2 from the residual of the
+// verification round's syndrome sBoth. A shot is a logical error when the
+// combined correction's logical parity disagrees with the true observable
+// flip. Each shot arrives as one word, detector i at bit i: s1 is its low
+// k bits, sBoth the next k and the observable the bit above them.
 //
 // The lookup table is complete (New checks it), so Syndrome(Decode(s)) == s
 // and the stage-2 residual is s1 ^ sBoth. Logical parity is linear over
@@ -515,51 +525,34 @@ func (r Result) LogicalErrorRate() float64 {
 //
 // The mc engine distributes the shot budget across worker goroutines
 // (workers <= 0 means runtime.NumCPU(), 1 runs serially on the calling
-// goroutine). Workers own their batch samplers; the parity bitset is
-// immutable after construction and shared read-only. Pooled (shots,
-// errors) are bit-identical for any worker count.
+// goroutine). Workers own their samplers and gap tables; the compiled
+// sites and the parity bitset are immutable after construction and shared
+// read-only. Pooled (shots, errors) are bit-identical for any worker count.
 //
 // Cancellation stops dispatching new shards and returns the exact pooled
 // tally of the completed shards alongside a *mc.PartialError. With a
 // checkpoint scope on ctx (mc.WithCheckpoint), completed shards persist
 // across interrupts and are not re-executed on resume.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
-	k := e.numChecks
+	k := uint(e.numChecks)
+	checks := uint64(1)<<k - 1
+	obsBit := uint(e.Circuit.NumDetectors())
 	parity := e.parity
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}
 	tally, err := mc.RunContext(ctx, cfg, func() mc.ShardRunner {
 		rng := splitmix.New(0)
-		bs := stabsim.NewBatchFrameSampler(e.Circuit, rng)
-		// Per-shot syndrome words, filled by transposing the batch's packed
-		// detector words: one sparse pass over 2k words per 64 shots instead
-		// of 64 dense scans.
-		var syn1, synBoth [64]uint64
+		ss := stabsim.NewSensitivitySampler(e.sens, rng)
 		return func(sh mc.Shard) mc.Tally {
 			rng.Seed(sh.Seed)
 			var t mc.Tally
 			for done := 0; done < sh.Shots; {
-				batch := bs.SampleBatch()
-				n := 64
-				if sh.Shots-done < n {
-					n = sh.Shots - done
-				}
-				for s := 0; s < n; s++ {
-					syn1[s] = 0
-					synBoth[s] = 0
-				}
-				for i := 0; i < k; i++ {
-					for w := batch.Detectors[i]; w != 0; w &= w - 1 {
-						syn1[bits.TrailingZeros64(w)] |= 1 << uint(i)
-					}
-					for w := batch.Detectors[k+i]; w != 0; w &= w - 1 {
-						synBoth[bits.TrailingZeros64(w)] |= 1 << uint(i)
-					}
-				}
-				actual := batch.Observables[0]
-				for s := 0; s < n; s++ {
-					s1, s2 := syn1[s], syn1[s]^synBoth[s]
+				words := ss.SampleBatch()
+				n := min(64, sh.Shots-done)
+				for _, w := range words[:n] {
+					s1 := w & checks
+					s2 := s1 ^ w>>k&checks
 					predicted := parity[s1/64]>>(s1%64) ^ parity[s2/64]>>(s2%64)
-					t.Errors += int64((predicted ^ actual>>uint(s)) & 1)
+					t.Errors += int64((predicted ^ w>>obsBit) & 1)
 				}
 				done += n
 			}
