@@ -31,13 +31,13 @@
 // seeds, git revision, per-batch counts, final metrics) that `hetarch runs
 // diff` can diff against a baseline.
 //
-// -trace-out arms the engine flight profiler: Monte Carlo shard phases
-// (queue wait, execution, sample/decode sub-phases, merge) and DSE point
-// evaluations are recorded on per-worker lanes — deterministically sampled
-// 1-in-N by shard/point index (-trace-sample, default 8, 1 = everything) so
-// tracing cannot perturb results — next to unsampled wall-time events for
-// each experiment and table row on a "run" track, and written as Chrome
-// Trace Event JSON, which opens directly in Perfetto
+// -trace-out arms the engine flight profiler: mc shard phases (queue wait,
+// execution, sample/decode sub-phases, merge) are recorded on per-worker
+// lanes, DSE points among them as one-point shards, deterministically
+// sampled 1-in-N by shard index (-trace-sample, default 8, 1 = everything)
+// so tracing cannot perturb results. Unsampled wall-time events for each
+// experiment and table row sit beside them on a "run" track, and the whole
+// is written as Chrome Trace Event JSON, which opens directly in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing. -metrics and -record also
 // sample runtime/metrics (heap, GC pauses, goroutines, scheduling latency)
 // into runtime.* gauges once, at the end of the run, so the final snapshot
@@ -120,7 +120,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write a heap profile to `file` at exit")
 	traceOut := fs.String("trace-out", "", "write a flight-profiler trace (Chrome Trace Event JSON, opens in Perfetto) to `file`")
-	traceSample := fs.Int("trace-sample", trace.DefaultSampleN, "trace every `N`th shard/point by index (1 = all; deterministic, never affects results)")
+	traceSample := fs.Int("trace-sample", trace.DefaultSampleN, "trace every `N`th shard by index (1 = all; deterministic, never affects results)")
 	logFormat := fs.String("log-format", runlog.FormatText, "structured event-log format on stderr: text or json")
 	ledgerDir := fs.String("ledger-dir", "", "append this run's envelope to the run ledger in `dir` (default $HETARCH_LEDGER_DIR, then ~/.hetarch; \"off\" disables)")
 	timeout := fs.Duration("timeout", 0, "whole-run deadline; a run that exceeds it exits with the interrupted code (3), resumable via -checkpoint")
@@ -261,7 +261,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 	// The flight profiler records into a fresh buffer per run; sampling is
-	// by shard/point index, so an armed profiler never changes results.
+	// by shard index, so an armed profiler never changes results.
 	if *traceOut != "" {
 		trace.Default.Enable(trace.DefaultCapacity, *traceSample)
 		trace.Default.SetRunID(runID)
@@ -428,7 +428,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if runErr != nil {
 			final.Err = runErr.Error()
 		}
-		if err := rec.FinalizeAtomic(final); err != nil && runErr == nil {
+		// Close syncs the final record to disk before the ledger digests
+		// the artifact; the deferred Close is then a no-op.
+		if err := errors.Join(rec.WriteFinal(final), rec.Close()); err != nil && runErr == nil {
 			runErr = fmt.Errorf("record: %w", err)
 		}
 	}

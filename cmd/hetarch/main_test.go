@@ -334,9 +334,9 @@ func loadChromeTrace(t *testing.T, path string) (cats map[string]int, lanes map[
 
 // TestTraceOutEndToEnd is the flight-profiler acceptance test: -trace-out
 // must emit valid Chrome Trace Event JSON carrying mc shard-phase events
-// (fig9), sample/decode sub-phases (fig6, surface runner), and dse point
-// events on worker lanes — while stdout stays bit-identical to an untraced
-// run at any -workers setting.
+// (fig9), sample/decode sub-phases (fig6, surface runner), and one mc
+// shard event per dse point on worker lanes — while stdout stays
+// bit-identical to an untraced run at any -workers setting.
 func TestTraceOutEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	runOK := func(args ...string) string {
@@ -380,12 +380,18 @@ func TestTraceOutEndToEnd(t *testing.T) {
 		}
 	}
 
-	// DSE point evaluations land on their own process.
+	// DSE points are one-point mc shards: the 70-point sweep shows up as
+	// 70 mc.shard events on the two worker lanes.
 	dsePath := filepath.Join(dir, "dse.json")
 	runOK("dse", "-quick", "-workers", "2", "-trace-out", dsePath, "-trace-sample", "1")
-	cats, _ = loadChromeTrace(t, dsePath)
-	if cats["dse.point"] == 0 {
-		t.Fatalf("dse trace has no dse.point events (cats: %v)", cats)
+	cats, lanes := loadChromeTrace(t, dsePath)
+	if cats["mc.shard"] != 70 {
+		t.Fatalf("dse trace has %d mc.shard events, want one per grid point, 70 (cats: %v)", cats["mc.shard"], cats)
+	}
+	for lane := range lanes["mc.shard"] {
+		if lane < 0 || lane >= 2 {
+			t.Fatalf("dse mc.shard event on lane %d, want [0,2)", lane)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Design-space exploration: sweep the Table-1 storage catalog for a
-// Register-based memory module on the parallel sweep engine, characterize
+// Register-based memory module on parallel workers, characterize
 // each distinct cell exactly once (the HetArch simulation-hierarchy
 // payoff), and print the Pareto frontier between stored-qubit error and
 // chip footprint — the real coherence-vs-size tradeoff of superconducting

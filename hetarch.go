@@ -181,10 +181,11 @@ type SweepPartialError = dse.PartialError
 
 // SweepParallel evaluates the full factorial grid across worker goroutines
 // (workers <= 0 means NumCPU) with bit-identical results at any worker
-// count. On cancellation or an evaluator error it returns the longest
-// completed prefix of the grid and a *SweepPartialError.
+// count. On cancellation, an evaluator error or a point that panics on its
+// retry too, it returns the longest completed prefix of the grid and a
+// *SweepPartialError.
 func SweepParallel(ctx context.Context, params []SweepParam, workers int, fn func(SweepPoint) (map[string]float64, error)) ([]SweepResult, error) {
-	return dse.Sweep(ctx, params, dse.Config{Workers: workers}, fn)
+	return dse.Sweep(ctx, params, workers, fn)
 }
 
 // QEC codes.

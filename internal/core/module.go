@@ -137,7 +137,7 @@ func (m *Module) Tree() string {
 // across the whole design space sweep.
 //
 // Misses run single-flight: concurrent requests for the same key — the
-// normal case under the parallel sweep engine, whose workers all reach the
+// normal case in a parallel dse sweep, whose workers all reach the
 // first grid point of a new cell configuration together — perform exactly
 // one density-matrix simulation, with the losers blocking on the winner's
 // result.

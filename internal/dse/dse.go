@@ -1,17 +1,18 @@
-// Package dse is the parallel design-space-exploration engine for the
-// paper's third pillar (Section 4, "Design Space Exploration" and the
-// evaluation sweeps of Section 6): it evaluates a full factorial grid of
-// design parameters across a pool of workers, with each point composing
-// cached standard-cell characterizations instead of re-running
-// density-matrix simulation — the ≥10⁴ simulation-cost reduction HetArch
-// claims for cell-once/compose-many methodology.
+// Package dse is the design-space-exploration sweep for the paper's third
+// pillar (Section 4, "Design Space Exploration" and the evaluation sweeps
+// of Section 6): it evaluates a full factorial grid of design parameters,
+// with each point composing cached standard-cell characterizations instead
+// of re-running density-matrix simulation — the ≥10⁴ simulation-cost
+// reduction HetArch claims for cell-once/compose-many methodology.
 //
-// The engine follows the same deterministic decomposition discipline as
-// internal/mc: the point enumeration depends only on the parameter grid
-// (never on worker count or scheduling), results are merged in point-index
-// order, and a cancelled run returns the longest contiguous prefix of
-// completed points together with a typed *PartialError. Sweep output is
-// therefore bit-identical for any number of workers, making -workers a pure
+// The sweep runs on the mc engine: point i is the one-shot shard i of an
+// mc.MapShardsContext run, so it inherits the engine's worker pool, panic
+// isolation with one retry, fault-injection binding and telemetry. The
+// point enumeration depends only on the parameter grid (never on worker
+// count or scheduling), results are placed by point index, and a cancelled
+// or failed run returns the longest contiguous prefix of completed points
+// together with a typed *PartialError. Sweep output is therefore
+// bit-identical for any number of workers, making -workers a pure
 // throughput knob for DSE exactly as it is for Monte Carlo.
 //
 // The memo itself is core.Characterizer: callers share one across a sweep,
@@ -21,15 +22,10 @@ package dse
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"hetarch/internal/core"
 	"hetarch/internal/mc"
-	"hetarch/internal/obs"
 	"hetarch/internal/obs/runlog"
-	"hetarch/internal/obs/trace"
 )
 
 // Structured-log events (no-ops until the CLI installs a run logger).
@@ -38,25 +34,13 @@ var (
 	evSweepInterrupted = runlog.Event("dse.sweep_interrupted")
 )
 
-// pointWall is the per-point evaluation wall time. With a warm
-// characterization cache it collapses toward microseconds; the cold-cache
-// tail is the density-matrix simulations — comparing the two is how a
-// sweep's cost is attributed.
-var pointWall = obs.H("dse.point_wall_ns")
-
-// Config holds the engine knobs. The zero value is valid: Workers <= 0
-// resolves to runtime.NumCPU via mc.ResolveWorkers.
-type Config struct {
-	Workers int
-}
-
 // PartialError reports a sweep that stopped before evaluating every grid
-// point — cancelled or failed by an evaluator error. The partial result
-// returned alongside it is the longest contiguous prefix of completed
-// points, so a resumed sweep can continue from index Completed. Unwrap
-// exposes the cause, so errors.Is(err, context.Canceled) works.
+// point — cancelled or failed by an evaluator error or panic. The partial
+// result returned alongside it is the longest contiguous prefix of
+// completed points, so a resumed sweep can continue from index Completed.
+// Unwrap exposes the cause, so errors.Is(err, context.Canceled) works.
 type PartialError struct {
-	Cause     error // context error or the first evaluator error
+	Cause     error // context error, the first evaluator error, or a *mc.ShardFault
 	Completed int   // length of the contiguous completed prefix returned
 	Points    int   // total points in the grid
 }
@@ -102,115 +86,67 @@ func Points(params []core.Param) []core.Point {
 	return out
 }
 
-// Sweep evaluates fn on every point of the parameter grid using
-// mc.ResolveWorkers(cfg.Workers) goroutines and merges the results in point
-// order. The output is bit-identical for any worker count, provided fn is a
-// pure function of its point (shared state such as a core.Characterizer is
-// fine: the characterization of a cell configuration does not depend on
-// which point requested it first).
+// evaluated is one point's outcome. ok marks an evaluation that returned
+// without error, since a nil metrics map is a legal result; points the
+// sweep never reached are the zero value.
+type evaluated struct {
+	metrics map[string]float64
+	err     error
+	ok      bool
+}
+
+// Sweep evaluates fn on every point of the parameter grid with
+// mc.ResolveWorkers(workers) goroutines, one point per mc shard, and
+// returns the results in point order. The output is bit-identical for any
+// worker count, provided fn is a pure function of its point (shared state
+// such as a core.Characterizer is fine: the characterization of a cell
+// configuration does not depend on which point requested it first).
 //
 // When ctx is cancelled or fn returns an error, the engine stops
 // dispatching new points, lets in-flight evaluations finish, and returns
 // the longest contiguous prefix of completed results together with a
-// *PartialError. With a single worker the prefix is exactly the points
-// evaluated before the stop; with more workers, later out-of-order
-// completions past the first gap are discarded so the prefix property
-// holds regardless of scheduling.
-func Sweep(ctx context.Context, params []core.Param, cfg Config, fn func(core.Point) (map[string]float64, error)) ([]core.Result, error) {
+// *PartialError whose cause is what stopped the first missing point. A
+// panicking evaluation is retried once on its point; if it panics again,
+// the cause is the engine's *mc.ShardFault. With a single
+// worker the prefix is exactly the points evaluated before the stop; with
+// more workers, later out-of-order completions past the first gap are
+// discarded so the prefix property holds regardless of scheduling.
+func Sweep(ctx context.Context, params []core.Param, workers int, fn func(core.Point) (map[string]float64, error)) ([]core.Result, error) {
 	points := Points(params)
 	if len(points) == 0 {
 		return nil, nil
 	}
-	out := make([]core.Result, len(points))
-	done := make([]bool, len(points))
-
 	runCtx, stop := context.WithCancel(ctx)
 	defer stop()
-	var firstErr atomic.Pointer[error]
-
-	// process evaluates one point on worker lane `lane`, returning false
-	// when the sweep must wind down because the evaluator failed. Each
-	// evaluation feeds the dse.point_wall_ns histogram; sampled points
-	// (deterministic 1-in-N by grid index) additionally emit a trace event
-	// on the worker's lane, so a Perfetto view of a sweep shows which
-	// points were cache-served and which paid for simulation.
-	process := func(lane, i int) bool {
-		start := time.Now()
-		traced := trace.Sampled(i)
-		var ts0 int64
-		if traced {
-			ts0 = trace.Now()
-		}
-		m, err := fn(points[i])
-		pointWall.Observe(time.Since(start).Nanoseconds())
-		if err != nil {
-			err = fmt.Errorf("dse: point %d: %w", i, err)
-			firstErr.CompareAndSwap(nil, &err)
-			stop()
-			return false
-		}
-		if traced {
-			trace.Emit(trace.Event{
-				Name: fmt.Sprintf("point %d", i), Cat: "dse.point",
-				Proc: "dse", Lane: lane, Phase: trace.PhaseComplete,
-				TS: ts0, Dur: trace.Now() - ts0, Index: int64(i),
-			})
-		}
-		out[i] = core.Result{Point: points[i], Metrics: m}
-		done[i] = true
-		return true
-	}
-
-	workers := mc.ResolveWorkers(cfg.Workers)
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if workers <= 1 {
-		for i := range points {
-			if runCtx.Err() != nil {
-				break
+	cfg := mc.Config{Shots: len(points), Workers: workers, ShardSize: 1}
+	evals, err := mc.MapShardsContext(runCtx, cfg, func() func(mc.Shard) evaluated {
+		return func(sh mc.Shard) evaluated {
+			m, err := fn(points[sh.Index])
+			if err != nil {
+				stop()
+				return evaluated{err: fmt.Errorf("dse: point %d: %w", sh.Index, err)}
 			}
-			if !process(0, i) {
-				break
-			}
+			return evaluated{metrics: m, ok: true}
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(lane int) {
-				defer wg.Done()
-				for runCtx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(points) {
-						return
-					}
-					if !process(lane, i) {
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	})
 
-	prefix := 0
-	for prefix < len(done) && done[prefix] {
-		prefix++
+	out := make([]core.Result, 0, len(points))
+	for i, ev := range evals {
+		if !ev.ok {
+			break
+		}
+		out = append(out, core.Result{Point: points[i], Metrics: ev.metrics})
 	}
-	if prefix == len(points) {
-		runlog.L().Info(evSweepDone, "points", len(points), "workers", workers)
+	if len(out) == len(points) {
+		runlog.L().Info(evSweepDone, "points", len(points), "workers", min(mc.ResolveWorkers(workers), len(points)))
 		return out, nil
 	}
-	var cause error
-	if ep := firstErr.Load(); ep != nil {
-		cause = *ep
-	} else if err := ctx.Err(); err != nil {
-		cause = err
-	} else {
-		cause = context.Canceled // unreachable: incomplete sweeps have an error or a dead context
+	// The cause is what stopped the first missing point: its evaluator
+	// error, or else the engine's (a shard fault or the dead context).
+	cause := evals[len(out)].err
+	if cause == nil {
+		cause = err.(*mc.PartialError).Cause
 	}
-	runlog.L().Warn(evSweepInterrupted, "completed", prefix, "points", len(points), "cause", cause.Error())
-	return out[:prefix], &PartialError{Cause: cause, Completed: prefix, Points: len(points)}
+	runlog.L().Warn(evSweepInterrupted, "completed", len(out), "points", len(points), "cause", cause.Error())
+	return out, &PartialError{Cause: cause, Completed: len(out), Points: len(points)}
 }

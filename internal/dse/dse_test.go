@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"hetarch/internal/core"
+	"hetarch/internal/mc"
+	"hetarch/internal/mc/chaos"
 )
 
 func grid() []core.Param {
@@ -59,7 +61,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	params := grid()
 	run := func(workers int) []core.Result {
 		t.Helper()
-		res, err := Sweep(context.Background(), params, Config{Workers: workers}, eval)
+		res, err := Sweep(context.Background(), params, workers, eval)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -89,7 +91,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // produces for those indices.
 func TestSweepCancelPrefix(t *testing.T) {
 	params := grid()
-	full, err := Sweep(context.Background(), params, Config{Workers: 1}, eval)
+	full, err := Sweep(context.Background(), params, 1, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestSweepCancelPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	res, err := Sweep(ctx, params, Config{Workers: 1}, func(p core.Point) (map[string]float64, error) {
+	res, err := Sweep(ctx, params, 1, func(p core.Point) (map[string]float64, error) {
 		if calls.Add(1) == k {
 			cancel()
 		}
@@ -129,14 +131,14 @@ func TestSweepCancelPrefix(t *testing.T) {
 // uninterrupted run's prefix of that length.
 func TestSweepCancelPrefixParallel(t *testing.T) {
 	params := grid()
-	full, err := Sweep(context.Background(), params, Config{Workers: 1}, eval)
+	full, err := Sweep(context.Background(), params, 1, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	res, err := Sweep(ctx, params, Config{Workers: 4}, func(p core.Point) (map[string]float64, error) {
+	res, err := Sweep(ctx, params, 4, func(p core.Point) (map[string]float64, error) {
 		if calls.Add(1) == 5 {
 			cancel()
 		}
@@ -162,12 +164,14 @@ func TestSweepCancelPrefixParallel(t *testing.T) {
 // error as the PartialError cause, with a valid prefix result.
 func TestSweepEvaluatorError(t *testing.T) {
 	params := grid()
-	full, err := Sweep(context.Background(), params, Config{Workers: 1}, eval)
+	full, err := Sweep(context.Background(), params, 1, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("device model rejected point")
-	res, err := Sweep(context.Background(), params, Config{Workers: 1}, func(p core.Point) (map[string]float64, error) {
+	calls := 0
+	res, err := Sweep(context.Background(), params, 1, func(p core.Point) (map[string]float64, error) {
+		calls++
 		if p["a"] == 2 && p["b"] == 0.5 && p["c"] == 10 {
 			return nil, boom
 		}
@@ -190,6 +194,10 @@ func TestSweepEvaluatorError(t *testing.T) {
 	if !reflect.DeepEqual(res, full[:8]) {
 		t.Fatalf("error-stopped prefix diverges from the uninterrupted run")
 	}
+	// The error cancels the sweep: one worker evaluates nothing past it.
+	if calls != 9 {
+		t.Fatalf("evaluator ran %d times, want 9 (dispatch must stop at the error)", calls)
+	}
 }
 
 // TestSweepAlreadyCancelled returns an empty prefix without evaluating.
@@ -197,7 +205,7 @@ func TestSweepAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	res, err := Sweep(ctx, grid(), Config{Workers: 4}, func(p core.Point) (map[string]float64, error) {
+	res, err := Sweep(ctx, grid(), 4, func(p core.Point) (map[string]float64, error) {
 		calls.Add(1)
 		return eval(p)
 	})
@@ -209,5 +217,102 @@ func TestSweepAlreadyCancelled(t *testing.T) {
 	}
 	if calls.Load() != 0 {
 		t.Fatalf("evaluator ran %d times under a dead context", calls.Load())
+	}
+}
+
+// TestSweepNilMetrics: a nil metrics map is a legal evaluation, not a
+// missing point, so a sweep of them is complete.
+func TestSweepNilMetrics(t *testing.T) {
+	points := Points(grid())
+	res, err := Sweep(context.Background(), grid(), 4, func(core.Point) (map[string]float64, error) {
+		return nil, nil
+	})
+	if err != nil || len(res) != len(points) {
+		t.Fatalf("got %d results (err %v), want all %d", len(res), err, len(points))
+	}
+	for i, r := range res {
+		if r.Metrics != nil || !reflect.DeepEqual(r.Point, points[i]) {
+			t.Fatalf("result %d = %+v, want point %v with nil metrics", i, r, points[i])
+		}
+	}
+}
+
+// TestSweepEvaluatorPanic: a panicking evaluation is the engine's shard
+// fault. One panic is absorbed by the engine's same-point retry, so the
+// sweep returns the uninterrupted results; a point that panics on every
+// attempt stops the sweep with the prefix before it and a *PartialError
+// whose cause is the *mc.ShardFault.
+func TestSweepEvaluatorPanic(t *testing.T) {
+	params := grid()
+	full, err := Sweep(context.Background(), params, 1, eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 8
+	badPoint := Points(params)[bad]
+	isBad := func(p core.Point) bool { return reflect.DeepEqual(p, badPoint) }
+
+	for _, workers := range []int{1, 4} {
+		var panicked atomic.Bool
+		res, err := Sweep(context.Background(), params, workers, func(p core.Point) (map[string]float64, error) {
+			if isBad(p) && panicked.CompareAndSwap(false, true) {
+				panic("transient evaluator fault")
+			}
+			return eval(p)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: one panic was not retried: %v", workers, err)
+		}
+		if !panicked.Load() || !reflect.DeepEqual(res, full) {
+			t.Fatalf("workers=%d: retried sweep diverges from the uninterrupted run (panicked=%v)", workers, panicked.Load())
+		}
+	}
+
+	res, err := Sweep(context.Background(), params, 1, func(p core.Point) (map[string]float64, error) {
+		if isBad(p) {
+			panic("deterministic evaluator fault")
+		}
+		return eval(p)
+	})
+	var pe *PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %v is not a *PartialError", err)
+	}
+	var fault *mc.ShardFault
+	if !errors.As(pe.Cause, &fault) || fault.Shard != bad || fault.Attempts != 1+mc.DefaultShardRetries {
+		t.Fatalf("cause %v is not point %d's shard fault after %d attempts", pe.Cause, bad, 1+mc.DefaultShardRetries)
+	}
+	if pe.Completed != bad || pe.Points != len(full) || len(res) != bad {
+		t.Fatalf("got %d results (PartialError %d/%d), want the first-%d prefix of %d", len(res), pe.Completed, pe.Points, bad, len(full))
+	}
+	if !reflect.DeepEqual(res, full[:bad]) {
+		t.Fatalf("fault-stopped prefix diverges from the uninterrupted run")
+	}
+}
+
+// TestChaosSweepInjectedPanic: a fault injector bound to the sweep's
+// context reaches its points, and the retried points leave the results
+// bit-identical.
+func TestChaosSweepInjectedPanic(t *testing.T) {
+	params := grid()
+	full, err := Sweep(context.Background(), params, 1, eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		in := chaos.New(2)
+		for _, k := range in.PickShards(3, len(full)) {
+			in.PanicOnShard(k, 1)
+		}
+		res, err := Sweep(mc.WithFaultInjector(context.Background(), in), params, workers, eval)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if in.InjectedFaults() != 3 {
+			t.Fatalf("workers=%d: injector raised %d panics, want 3", workers, in.InjectedFaults())
+		}
+		if !reflect.DeepEqual(res, full) {
+			t.Fatalf("workers=%d: sweep under injected panics diverges from the uninterrupted run", workers)
+		}
 	}
 }

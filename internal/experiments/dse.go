@@ -32,12 +32,12 @@ func dseParams() []core.Param {
 }
 
 // DSE runs the design-space exploration over the distillation module's
-// register parameters on the parallel sweep engine, demonstrating the
-// paper's simulation-hierarchy payoff: each distinct standard-cell
-// configuration is density-matrix-characterized once, and every grid point
-// evaluates the module-level metric from the cached channel abstraction.
-// workers is the sweep engine's goroutine count (<= 0 means
-// runtime.NumCPU()).
+// register parameters on the dse sweep (one mc shard per grid point),
+// demonstrating the paper's simulation-hierarchy payoff: each distinct
+// standard-cell configuration is density-matrix-characterized once, and
+// every grid point evaluates the module-level metric from the cached
+// channel abstraction. workers is the mc engine's goroutine count (<= 0
+// means runtime.NumCPU()).
 //
 // The swept results and Pareto front are bit-identical for any worker
 // count, and so is the accounting: single-flight makes the number of
@@ -47,7 +47,7 @@ func DSE(ctx context.Context, workers int) (*DSEResult, error) {
 	// Stats reads the process-wide registry; difference it around the sweep
 	// so the reported numbers are this run's own.
 	calls0, hits0 := ch.Stats()
-	results, err := dse.Sweep(ctx, dseParams(), dse.Config{Workers: workers}, func(p core.Point) (map[string]float64, error) {
+	results, err := dse.Sweep(ctx, dseParams(), workers, func(p core.Point) (map[string]float64, error) {
 		ts := p["tsMillis"] * 1000
 		modes := int(p["modes"])
 		reg := cell.NewRegister(device.StandardStorage(ts, modes), device.StandardComputeNoReadout(500), 2)

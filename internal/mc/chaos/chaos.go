@@ -119,14 +119,6 @@ func (in *Injector) InjectedFaults() int {
 	return in.injected
 }
 
-// CompletedShards returns how many shard completions the injector has
-// observed.
-func (in *Injector) CompletedShards() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.completed
-}
-
 // BeforeShard implements mc.FaultInjector: once the cancellation has
 // fired it waits for cancel to return, then it sleeps the configured
 // latency and panics if the shard still has injected faults pending.

@@ -32,11 +32,8 @@ import (
 	"hetarch/internal/obs/runlog"
 )
 
-// Structured-log events (no-ops until the CLI installs a run logger).
-var (
-	evFinalized = runlog.Event("recorder.finalized")
-	evTornTail  = runlog.Event("recorder.torn_tail")
-)
+// Structured-log event (a no-op until the CLI installs a run logger).
+var evTornTail = runlog.Event("recorder.torn_tail")
 
 // Header identifies the run: what was asked for, with which seeds, built
 // from which source revision — everything needed to regenerate the figure
@@ -147,12 +144,13 @@ func (w *Writer) WriteFinal(f Final) error {
 	return w.write(f)
 }
 
-// FileWriter journals to a file on disk and can finalize the artifact
-// atomically, so a reader never observes a half-written final record.
+// FileWriter journals to a file on disk. A run finalizes its artifact with
+// WriteFinal and then Close. The final record, like every other, reaches
+// the file in one write, so a reader (`hetarch runs diff`) sees it whole
+// or, after a kill mid-write, drops it as a torn tail (Run.Truncated).
 type FileWriter struct {
 	*Writer
-	path string
-	f    *os.File
+	f *os.File
 }
 
 // CreateFile creates (truncating) the artifact at path.
@@ -161,42 +159,18 @@ func CreateFile(path string) (*FileWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileWriter{Writer: NewWriter(f), path: path, f: f}, nil
+	return &FileWriter{Writer: NewWriter(f), f: f}, nil
 }
 
-// FinalizeAtomic writes the final record atomically: the artifact journaled
-// so far plus the final line replace the original via jsonl.WriteFile. A
-// reader (`hetarch runs diff`) therefore sees either a final-less in-flight
-// artifact or a complete one — never a torn final snapshot — even if the
-// process dies mid-write. The writer is unusable afterwards.
-func (w *FileWriter) FinalizeAtomic(fin Final) error {
-	// Every record is flushed as it is written, so the on-disk file holds
-	// the full journal up to this point.
-	data, err := os.ReadFile(w.path)
-	if err != nil {
-		return err
-	}
-	fin.Type = "final"
-	line, err := json.Marshal(fin)
-	if err != nil {
-		return err
-	}
-	data = append(append(data, line...), '\n')
-	if err := jsonl.WriteFile(w.path, data); err != nil {
-		return err
-	}
-	runlog.L().Info(evFinalized, "path", w.path, "bytes", len(data))
-	return w.f.Close()
-}
-
-// Close closes the underlying file without finalizing (interrupted runs
-// keep their batch journal). It is a no-op after a successful
-// FinalizeAtomic, which already closed the file.
+// Close syncs the artifact to disk and closes it, so every record written
+// so far, the final one included, is durable before the run ledger
+// digests the file. Closing again is a no-op.
 func (w *FileWriter) Close() error {
-	if err := w.f.Close(); err != nil && !errors.Is(err, os.ErrClosed) {
-		return err
+	err := w.f.Sync()
+	if errors.Is(err, os.ErrClosed) {
+		return nil
 	}
-	return nil
+	return errors.Join(err, w.f.Close())
 }
 
 // Run is a parsed artifact.

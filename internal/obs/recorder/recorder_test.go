@@ -90,8 +90,12 @@ func TestReadRejectsMalformedArtifacts(t *testing.T) {
 	}
 }
 
+// TestFileWriterFinalizeAtomic: an artifact finalized as the CLI does it,
+// WriteFinal and then Close, reads back whole, with its batches and final
+// record, and leaves no other file beside it.
 func TestFileWriterFinalizeAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.jsonl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.jsonl")
 	w, err := CreateFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -102,15 +106,18 @@ func TestFileWriterFinalizeAtomic(t *testing.T) {
 	if err := w.WriteBatch(Batch{Name: "fig9", Shots: 512, TotalShots: 512}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.FinalizeAtomic(Final{WallSeconds: 1.5}); err != nil {
+	if err := w.WriteFinal(Final{WallSeconds: 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	// Close after finalize must be a clean no-op (the CLI defers it).
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("finalize left %s.tmp behind (err=%v)", path, err)
+	// A second Close must be a clean no-op (the CLI defers one).
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("finalize left %d files beside the artifact (err=%v)", len(ents)-1, err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package trace is the engine flight profiler: a low-overhead,
-// fixed-capacity buffer of typed phase events (shard executed, point
-// evaluated, checkpoint hit, ...) stamped with worker lanes and monotonic
+// fixed-capacity buffer of typed phase events (shard executed, merge,
+// checkpoint hit, ...) stamped with worker lanes and monotonic
 // timestamps, exportable as Chrome Trace Event Format JSON that opens
 // directly in Perfetto or chrome://tracing.
 //
@@ -11,7 +11,7 @@
 //     into a preallocated buffer, and events past capacity are counted as
 //     dropped rather than grown into.
 //   - Sampling is deterministic, not statistical: Sampled(index) keeps
-//     every Nth shard or grid point by *index*, so which units of work are
+//     every Nth shard by *index*, so which units of work are
 //     traced is a pure function of the run's decomposition — identical
 //     across worker counts and repeat runs — and tracing can never perturb
 //     the RNG streams that make results bit-identical.
@@ -37,7 +37,7 @@ const (
 
 // Event is one recorded occurrence. Proc and Lane place the event on a
 // Perfetto track: Proc groups lanes into a named process row ("mc",
-// "dse"), Lane is the worker goroutine index within it.
+// "run"), Lane is the worker goroutine index within it.
 type Event struct {
 	Name  string // slice label, e.g. "shard 42"
 	Cat   string // dot-separated category, e.g. "mc.shard"
@@ -46,7 +46,7 @@ type Event struct {
 	Phase byte   // PhaseComplete or PhaseInstant
 	TS    int64  // start, nanoseconds since Enable
 	Dur   int64  // duration in nanoseconds (PhaseComplete only)
-	Index int64  // shard/point index; rendered as args.index when >= 0
+	Index int64  // shard index; rendered as args.index when >= 0
 
 	// Attrs carries extra numeric arguments (rendered under args).
 	// Optional; nil for most events.
@@ -127,9 +127,6 @@ func (c *Collector) Disable() { c.enabled.Store(false) }
 
 // Enabled reports whether the collector is recording.
 func (c *Collector) Enabled() bool { return c.enabled.Load() }
-
-// SampleN returns the sampling stride (0 when never enabled).
-func (c *Collector) SampleN() int { return int(c.sampleN.Load()) }
 
 // Sampled reports whether the unit of work with the given index should be
 // traced: the collector is enabled and index falls on the deterministic

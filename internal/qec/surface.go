@@ -22,9 +22,6 @@ type SurfaceLayout struct {
 	ZCoords []SurfaceCoord
 }
 
-// DataIndex maps a (row, col) data position to its qubit index.
-func (l *SurfaceLayout) DataIndex(row, col int) int { return row*l.D + col }
-
 // Surface returns the rotated planar surface code of distance d (d ≥ 2),
 // with d² data qubits on a grid. X-type plaquettes terminate on the top and
 // bottom boundaries, Z-type on the left and right. The logical Z runs along

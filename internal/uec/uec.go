@@ -67,14 +67,6 @@ type Params struct {
 	Registers        int
 	ModesPerRegister int
 
-	// Flagged enables flag-qubit-protected stabilizer extraction on the
-	// serialized module (Section 4.2.2: "Flag circuits may be used to
-	// ensure fault-tolerance"). With flags, a single ancilla fault can no
-	// longer spread into a multi-qubit data ("hook") error: each CX's noise
-	// reduces to its data-side marginal plus an ancilla measurement flip.
-	// Flags cost two extra gate slots per check.
-	Flagged bool
-
 	// NativePlacement marks the code as lattice-native for the homogeneous
 	// baseline: every check ancilla is adjacent to all of its data qubits
 	// and no routing is paid ("if an optimal square lattice transpilation
@@ -94,7 +86,6 @@ func DefaultParams(code *qec.Code, tsMillis float64, heterogeneous bool) Params 
 		TcMicros:      500,
 		P2:            0.01,
 		SwapError:     0.005,
-		Flagged:       heterogeneous,
 		SwapTime:      0.1,
 		GateTime:      0.1,
 		HTime:         0.04,
@@ -219,8 +210,13 @@ func maskOf(support []int) uint64 {
 // compute-window decoherence, storage idling for the full serialized cycle)
 // is applied before the cycle's checks run, and ancilla-side errors surface
 // as measurement flips. This is the standard convention that keeps the
-// syndrome of a cycle well defined for the lookup decoder; flag
-// circuits (Params.Flagged) justify the absence of multi-qubit hook errors.
+// syndrome of a cycle well defined for the lookup decoder. The model
+// assumes the serialized module extracts each check with flag qubits
+// (Section 4.2.2: "Flag circuits may be used to ensure fault-tolerance"),
+// so a single ancilla fault cannot spread into a multi-qubit data ("hook")
+// error: each CX's noise reduces to its data-side marginal plus an ancilla
+// measurement flip. The flags are not built; their two extra gate slots
+// per check are charged to the cycle duration.
 func (e *Experiment) buildSerializedCircuit() {
 	p := e.P
 	n := p.Code.N
@@ -237,7 +233,7 @@ func (e *Experiment) buildSerializedCircuit() {
 
 	// Check durations: per involved qubit, load + CX + store (pipelined
 	// across registers when the schedule optimizer is on); plus readout
-	// and, when flagged, two flag-coupling gate slots.
+	// and the two flag-coupling gate slots.
 	checkDur := func(support []int, isX bool) float64 {
 		var d float64
 		if e.Assignment != nil {
@@ -248,10 +244,7 @@ func (e *Experiment) buildSerializedCircuit() {
 		if isX {
 			d += 2 * p.HTime
 		}
-		if p.Flagged {
-			d += 2 * p.GateTime
-		}
-		return d
+		return d + 2*p.GateTime
 	}
 
 	// Serialized cycle duration and per-qubit touch counts.
